@@ -34,6 +34,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _count(text: str) -> int:
+    """Argument type for integer flags that must not be negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _builtin(name: str):
     """Built-in monotone machines by name, with their space endpoints."""
     if name == "invert":
@@ -77,7 +88,7 @@ def _add_common(parser, with_eps: bool = True):
     parser.add_argument("--value", required=True, help="rational, as p/q or a decimal literal")
     if with_eps:
         parser.add_argument("--eps", required=True, help="output accuracy, a positive rational")
-    parser.add_argument("--max-effort", type=int, default=DEFAULT_FUEL_CAP)
+    parser.add_argument("--max-effort", type=_count, default=DEFAULT_FUEL_CAP)
     parser.add_argument("--schedule", choices=("linear", "powers_of_two"),
                         default=DEFAULT_SCHEDULE)
     parser.add_argument("--format", choices=("json", "text"), default="json")
@@ -92,7 +103,7 @@ def build_parser() -> _Parser:
 
     sign = sub.add_parser("sign", help="print the Kleenean sign-name prefix")
     sign.add_argument("--value", required=True)
-    sign.add_argument("--max-effort", type=int, default=64)
+    sign.add_argument("--max-effort", type=_count, default=64)
     sign.add_argument("--format", choices=("json", "text"), default="json")
     sign.add_argument("--output", default=None)
 
@@ -101,9 +112,9 @@ def build_parser() -> _Parser:
     compose.add_argument("--value", required=True)
     compose.add_argument("--eps", default=None,
                          help="question when the pipeline ends in rational names")
-    compose.add_argument("--index", type=int, default=0,
+    compose.add_argument("--index", type=_count, default=0,
                          help="question when the pipeline ends in Kleenean names")
-    compose.add_argument("--max-effort", type=int, default=DEFAULT_FUEL_CAP)
+    compose.add_argument("--max-effort", type=_count, default=DEFAULT_FUEL_CAP)
     compose.add_argument("--schedule", choices=("linear", "powers_of_two"),
                          default=DEFAULT_SCHEDULE)
     compose.add_argument("--format", choices=("json", "text"), default="json")
@@ -114,15 +125,15 @@ def build_parser() -> _Parser:
     trace.add_argument("--machine", required=True, choices=("invert", "sign"))
     trace.add_argument("--value", required=True)
     trace.add_argument("--eps", default=None, help="question for invert")
-    trace.add_argument("--index", type=int, default=0, help="question for sign")
-    trace.add_argument("--max-rounds", type=int, default=128)
+    trace.add_argument("--index", type=_count, default=0, help="question for sign")
+    trace.add_argument("--max-rounds", type=_count, default=128)
     trace.add_argument("--format", choices=("json", "text"), default="json")
     trace.add_argument("--output", default=None)
 
     check = sub.add_parser("check", help="run a realizer check over a corpus file")
     check.add_argument("--machine", required=True, choices=("invert", "sign"))
     check.add_argument("--corpus", required=True)
-    check.add_argument("--fuel-cap", type=int, default=2 ** 10)
+    check.add_argument("--fuel-cap", type=_count, default=2 ** 10)
     check.add_argument("--format", choices=("json", "text"), default="json")
     check.add_argument("--output", default=None)
     return parser
@@ -144,8 +155,6 @@ def _require_positive(parser, value: Fraction, flag: str) -> Fraction:
 def _run_invert(parser, args) -> int:
     value = _parse_value(parser, args.value)
     eps = _require_positive(parser, _parse_value(parser, args.eps), "--eps")
-    if args.max_effort < 0:
-        parser.error("--max-effort must be >= 0")
     machine = use_first(inversion_machine())
     result, trace = evaluate_traced(machine, exact_name(value), eps,
                                     args.max_effort, args.schedule)
@@ -165,8 +174,6 @@ def _run_invert(parser, args) -> int:
 
 def _run_sign(parser, args) -> int:
     value = _parse_value(parser, args.value)
-    if args.max_effort < 0:
-        parser.error("--max-effort must be >= 0")
     machine = sign_machine()
     name = exact_name(value)
     prefix = [encode_value(machine.machine(name, 0, index))
@@ -183,8 +190,6 @@ def _run_sign(parser, args) -> int:
 
 def _run_compose(parser, args) -> int:
     value = _parse_value(parser, args.value)
-    if args.max_effort < 0:
-        parser.error("--max-effort must be >= 0")
     stage_names = [s.strip() for s in args.pipeline.split("|") if s.strip()]
     if not stage_names:
         parser.error("empty pipeline")

@@ -10,7 +10,9 @@ oracle to every output oracle whose answers all show up at some effort.
 
 from __future__ import annotations
 
+import functools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -47,6 +49,15 @@ class MonotoneMachine:
 
     Once ``machine(phi, n, q)`` answers, every effort above ``n`` repeats the
     same answer and the modulus list stays equal to its value at ``n``.
+
+    The machines ``use_first`` and ``compose_monotone`` build also carry a
+    ``settle`` that ``evaluate`` uses to find the first answering effort in
+    one pass instead of re-running the machine at every scheduled effort.
+    Its result equals the per-effort scan only when this contract holds:
+    monotonicity as above, a self-modulating modulus (oracles agreeing on
+    ``modulus(phi, n, q)`` give equal outputs and equal modulus lists), names
+    that are pure functions (answers are memoized per question), and
+    hashable questions that machines treat alike whenever they compare equal.
     """
 
     cm: ContinuousMachine
@@ -66,6 +77,18 @@ class MonotoneMachine:
     @property
     def out_space(self) -> str:
         return self.cm.out_space
+
+
+@dataclass(frozen=True)
+class _SettlingMachine(MonotoneMachine):
+    """A monotone machine that can settle a question in one pass.
+
+    ``settle(phi, cap)`` returns a function mapping a question to the first
+    effort <= cap at which the machine answers, with that answer, or to None;
+    results are memoized per question for that one oracle and cap.
+    """
+
+    settle: Callable[[NameOracle, int], Callable]
 
 
 def monotone_machine(machine: MachineFn, modulus: ModulusFn,
@@ -114,10 +137,24 @@ def evaluate(machine_like, phi: NameOracle, question, fuel_cap: int,
     """First answer along the effort schedule, or None if the cap runs out.
 
     Fuel exhaustion is a regular None result, never an exception; it means
-    "divergent up to this cap", nothing stronger.
+    "divergent up to this cap", nothing stronger.  A machine with a
+    ``settle`` is settled once at the last scheduled effort, and the answer
+    is reported at the first scheduled effort not below the settled one;
+    monotonicity makes that the scan's result.
     """
-    machine = _machine_fn(machine_like)
-    for effort in effort_schedule(fuel_cap, schedule):
+    efforts = effort_schedule(fuel_cap, schedule)
+    settle = getattr(machine_like, "settle", None)
+    if settle is None:
+        return _first_answer(_machine_fn(machine_like), phi, question, efforts)
+    settled = settle(phi, efforts[-1])(question) if efforts else None
+    if settled is None:
+        return None
+    return Evaluation(settled.value, efforts[bisect_left(efforts, settled.effort)])
+
+
+def _first_answer(machine: MachineFn, phi: NameOracle, question,
+                  efforts) -> Optional[Evaluation]:
+    for effort in efforts:
         value = machine(phi, effort, question)
         if value is not None:
             return Evaluation(value, effort)
@@ -187,6 +224,18 @@ def in_F_M(machine_like, phi: NameOracle, candidate: NameOracle,
 # Monotonization
 
 
+def _first_answers(machine: MachineFn, phi: NameOracle, cap: int):
+    """Memoized first answer per question of ``machine`` on ``phi``, efforts 0..cap."""
+    return functools.cache(
+        lambda question: _first_answer(machine, phi, question, range(cap + 1)))
+
+
+def _settle_fn(mm: MonotoneMachine):
+    """``mm``'s own settle, or a first-answer scan of its (monotone) machine."""
+    return (getattr(mm, "settle", None)
+            or functools.partial(_first_answers, mm.machine))
+
+
 def use_first(machine_like) -> MonotoneMachine:
     """Commit to the first effort at which the machine answers.
 
@@ -221,7 +270,7 @@ def use_first(machine_like) -> MonotoneMachine:
     cm = ContinuousMachine(first_machine, first_modulus,
                            getattr(machine_like, "in_space", ""),
                            getattr(machine_like, "out_space", ""))
-    return MonotoneMachine(cm)
+    return _SettlingMachine(cm, functools.partial(_first_answers, machine))
 
 
 def derive_modulus_machine(machine_like) -> ContinuousMachine:
@@ -259,6 +308,17 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     returned value.  The intermediate answer set is never materialized;
     membership is decided per question, and inner results are memoized within
     a single composite call.
+
+    Its ``settle`` runs the outer machine once on the limit oracle psi, which
+    answers each intermediate question with the inner machine's settled
+    value, or the default where the inner machine is silent at the cap.  The
+    composite first answers at the later of the outer machine's settled
+    effort on psi and the inner settled efforts of the questions on the
+    outer modulus list there: at lower efforts some needed question is still
+    unanswered or the outer machine is silent, and from there on the padded
+    oracle agrees with psi on that list, so self-modulation and monotonicity
+    make the outer machine answer as on psi.  Each intermediate question is
+    settled once per evaluation, also through nested composites.
     """
     if inner.out_space and outer.in_space and inner.out_space != outer.in_space:
         raise ValueError(
@@ -295,9 +355,35 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
             collected.extend(inner_modulus(phi, effort, needed))
         return collected
 
+    settle_inner, settle_outer = _settle_fn(inner), _settle_fn(outer)
+
+    def composite_settle(phi, cap):
+        inner_settled = settle_inner(phi, cap)
+
+        def psi(question):
+            found = inner_settled(question)
+            return intermediate_default if found is None else found.value
+
+        outer_settled = settle_outer(psi, cap)
+
+        @functools.cache
+        def settled(question) -> Optional[Evaluation]:
+            found = outer_settled(question)
+            if found is None:
+                return None
+            effort = found.effort
+            for needed in outer_modulus(psi, found.effort, question):
+                needed_found = inner_settled(needed)
+                if needed_found is None:
+                    return None
+                effort = max(effort, needed_found.effort)
+            return Evaluation(found.value, effort)
+
+        return settled
+
     cm = ContinuousMachine(composite_machine, composite_modulus,
                            inner.in_space, outer.out_space)
-    return MonotoneMachine(cm)
+    return _SettlingMachine(cm, composite_settle)
 
 
 # ---------------------------------------------------------------------------

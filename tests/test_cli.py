@@ -66,6 +66,15 @@ def test_usage_errors_exit_one(capsys):
         ["compose", "--pipeline", "invert|invert", "--value", "2"],
         ["check", "--machine", "invert", "--corpus", "/nonexistent.json"],
         ["associate-trace", "--machine", "invert", "--value", "2"],
+        ["compose", "--pipeline", "sign", "--value", "1", "--index", "-1"],
+        ["associate-trace", "--machine", "sign", "--value", "1", "--index", "-3"],
+        ["associate-trace", "--machine", "sign", "--value", "1",
+         "--max-rounds", "-1"],
+        ["check", "--machine", "sign", "--corpus", "corpus.json",
+         "--fuel-cap", "-1"],
+        ["invert", "--value", "2", "--eps", "1", "--max-effort", "-1"],
+        ["sign", "--value", "1", "--max-effort", "-2"],
+        ["compose", "--pipeline", "sign", "--value", "1", "--index", "two"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

@@ -7,12 +7,15 @@ from _families import (all_small_oracles, failure_example,
                        last_element_modulus, monotone_threshold,
                        random_threshold_spec, small_oracle, table_machine,
                        threshold_machine, ThresholdSpec, two_point_oracles)
-from contmach import (ContinuousMachine, ModulusSearchError, STAR,
+from contmach import (INVERSION_POINTS, OPT_NONE, SIGN_POINTS,
+                      ContinuousMachine, ModulusSearchError, STAR,
                       brute_force_min_modulus, compose_monotone,
                       constant_oracle, derive_modulus_machine,
                       effort_schedule, evaluate, evaluate_traced, exact_name,
-                      in_F_M, inversion_machine, monotone_machine,
-                      naturals_alphabet, restriction_eq, use_first)
+                      grid_name, in_F_M, inversion_machine,
+                      kleenean_to_bool_machine, monotone_machine,
+                      naturals_alphabet, restriction_eq, sign_machine,
+                      use_first)
 
 
 def step_machine(threshold, value="a"):
@@ -302,6 +305,145 @@ def test_modulus_soundness_and_self_modulation_exhaustive():
                         if restriction_eq(phi, psi, needed):
                             assert cm.machine(psi, effort, question) == output
                             assert cm.modulus(psi, effort, question) == needed
+
+
+# ---------------------------------------------------------------------------
+# Settling: evaluate's one-pass path for use_first and compose_monotone
+
+
+def scan_twin(mm):
+    # The same functions without a settle: evaluate scans effort by effort.
+    return monotone_machine(mm.machine, mm.modulus, mm.in_space, mm.out_space)
+
+
+def counting(cm, calls):
+    def machine(phi, effort, question):
+        calls[0] += 1
+        return cm.machine(phi, effort, question)
+
+    return ContinuousMachine(machine, cm.modulus, cm.in_space, cm.out_space)
+
+
+def inversion_chain(depth, calls=None):
+    def stage():
+        cm = inversion_machine()
+        return use_first(cm if calls is None else counting(cm, calls))
+
+    composite = stage()
+    for _ in range(depth - 1):
+        composite = compose_monotone(stage(), composite, Fraction(0))
+    return composite
+
+
+def corpus_names(points):
+    return [name(point) for point in points for name in (exact_name, grid_name)]
+
+
+NEAR_ZERO = (Fraction(1, 10 ** 6), Fraction(0))
+FAR_NAMES = corpus_names(p for p in INVERSION_POINTS if p not in NEAR_ZERO)
+NEAR_NAMES = corpus_names(NEAR_ZERO)
+CAPS = {"linear": (0, 3, 24), "powers_of_two": (0, 100, 2 ** 12)}
+EPSILONS = (Fraction(1), Fraction(1, 2 ** 30))
+
+
+def assert_settles_like_scan(mm, names, questions, caps=CAPS):
+    twin = scan_twin(mm)
+    for schedule, schedule_caps in caps.items():
+        for cap in schedule_caps:
+            for phi in names:
+                for question in questions:
+                    assert (evaluate(mm, phi, question, cap, schedule)
+                            == evaluate(twin, phi, question, cap, schedule)), \
+                        (schedule, cap, question)
+
+
+def test_settle_matches_scan_use_first_inversion():
+    assert_settles_like_scan(use_first(inversion_machine()),
+                             FAR_NAMES + NEAR_NAMES,
+                             EPSILONS + (Fraction(1, 1024),))
+
+
+def test_settle_matches_scan_use_first_sign():
+    assert_settles_like_scan(use_first(sign_machine()),
+                             corpus_names(SIGN_POINTS), (0, 3, 12))
+
+
+@pytest.mark.parametrize("depth, near_caps", [
+    (2, {"linear": (0, 3, 24), "powers_of_two": (0, 100)}),
+    (3, {"linear": (0, 3, 8), "powers_of_two": (0, 20)}),
+    (4, {"linear": (0, 3, 6), "powers_of_two": (0, 8)}),
+])
+def test_settle_matches_scan_inversion_chains(depth, near_caps):
+    # The scan's cost multiplies per stage and grows steeply with the cap on
+    # names of 0 and of 1e-6 (first answer at effort 20): small caps there.
+    chain = inversion_chain(depth)
+    assert_settles_like_scan(chain, FAR_NAMES, EPSILONS)
+    assert_settles_like_scan(chain, NEAR_NAMES, EPSILONS, near_caps)
+
+
+def test_settle_matches_scan_kleenean_to_bool_after_sign():
+    composite = compose_monotone(kleenean_to_bool_machine(),
+                                 use_first(sign_machine()), OPT_NONE)
+    assert_settles_like_scan(composite, corpus_names(SIGN_POINTS), (STAR,),
+                             {"linear": (0, 3, 24), "powers_of_two": (0, 100)})
+
+
+def test_settle_matches_scan_threshold_families():
+    rng = random.Random(23)
+    names = all_small_oracles()
+    caps = {"linear": (0, 2, 7), "powers_of_two": (0, 3, 8)}
+    for _ in range(12):
+        first = use_first(threshold_machine(random_threshold_spec(
+            rng, allow_dead=True)))
+        assert_settles_like_scan(first, names, range(3), caps)
+        # Monotone thresholds without a settle of their own, as either
+        # stage, and dead questions the outer machine may need.
+        inner = monotone_threshold(random_threshold_spec(rng, vary=False,
+                                                         allow_dead=True))
+        assert_settles_like_scan(compose_monotone(first, inner, 0), names,
+                                 range(3), caps)
+        assert_settles_like_scan(compose_monotone(inner, first, 0), names,
+                                 range(3), caps)
+
+
+def test_settle_empty_and_zero_caps():
+    calls = [0]
+    first = use_first(counting(ContinuousMachine(step_machine(0),
+                                                 lambda phi, n, q: []), calls))
+    phi = constant_oracle(0)
+    assert evaluate(first, phi, "q", -1, "linear") is None
+    assert calls == [0]
+    for schedule in ("linear", "powers_of_two"):
+        assert evaluate(first, phi, "q", 0, schedule) == ("a", 0)
+        assert (evaluate(first, phi, "q", -1, schedule)
+                == evaluate(scan_twin(first), phi, "q", -1, schedule))
+    late = use_first(ContinuousMachine(step_machine(1), lambda phi, n, q: []))
+    assert evaluate(late, phi, "q", 0, "linear") is None
+    assert evaluate(late, phi, "q", 0, "powers_of_two") is None
+
+
+def test_settle_respects_powers_of_two_cap_between_powers():
+    # The schedule for cap 100 stops at 64: an answer first given at 80 is
+    # beyond it, although 80 <= 100.
+    first = use_first(ContinuousMachine(step_machine(80), lambda phi, n, q: []))
+    phi = constant_oracle(0)
+    assert evaluate(first, phi, "q", 100, "powers_of_two") is None
+    assert evaluate(first, phi, "q", 128, "powers_of_two") == ("a", 128)
+    assert evaluate(first, phi, "q", 100, "linear") == ("a", 80)
+
+
+def test_settle_raw_call_counts():
+    calls = [0]
+    first = use_first(counting(inversion_machine(), calls))
+    assert evaluate(first, exact_name(Fraction(0)), Fraction(1, 8), 1024,
+                    "linear") is None
+    assert calls == [1025]
+
+    calls = [0]
+    result = evaluate(inversion_chain(4, calls), exact_name(Fraction(1, 10 ** 6)),
+                      Fraction(1, 2 ** 30), 2 ** 20, "powers_of_two")
+    assert result is not None
+    assert calls[0] < 1000
 
 
 # ---------------------------------------------------------------------------
