@@ -198,23 +198,13 @@ class FiniteFunction:
 
 def lookup(finite_fn: FiniteFunction, question, eq: EqFn = operator.eq):
     """First-match lookup; returns None when the question is unbound."""
-    for bound, answer in finite_fn.entries:
-        if eq(bound, question):
-            return answer
-    return None
+    return table_oracle(finite_fn.entries, None, eq)(question)
 
 
 def extend_with_default(finite_fn: FiniteFunction, default_answer,
                         eq: EqFn = operator.eq) -> NameOracle:
     """Totalize a finite sub-function by answering everything else with a default."""
-
-    def oracle(question):
-        for bound, answer in finite_fn.entries:
-            if eq(bound, question):
-                return answer
-        return default_answer
-
-    return oracle
+    return table_oracle(finite_fn.entries, default_answer, eq)
 
 
 def restriction_eq(phi: NameOracle, psi: NameOracle, questions: Sequence,
@@ -243,20 +233,15 @@ def constant_oracle(value) -> NameOracle:
 
 def table_oracle(table: Sequence, fallback, eq: EqFn = operator.eq) -> NameOracle:
     """Total oracle backed by a first-match table with a constant fallback."""
-    entries = tuple(table)
-
-    def oracle(question):
-        for bound, answer in entries:
-            if eq(bound, question):
-                return answer
-        return fallback
-
-    return oracle
+    return override_oracle(lambda question: fallback, table, eq)
 
 
 def override_oracle(base: NameOracle, table: Sequence,
                     eq: EqFn = operator.eq) -> NameOracle:
-    """Splice finitely many answers over a base oracle."""
+    """Splice finitely many answers over a base oracle; the first match wins.
+
+    This is the first-match scan that every lookup helper above shares.
+    """
     entries = tuple(table)
 
     def oracle(question):

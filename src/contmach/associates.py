@@ -31,35 +31,23 @@ class Answer:
 AssociateFn = Callable[[FiniteFunction, object], Union[Query, Answer]]
 
 
-def _dialogue_state(associate: AssociateFn, phi: NameOracle, question,
-                    rounds: int) -> FiniteFunction:
-    # Grow the transcript by answering queries from phi; an Answer freezes it.
-    state = FiniteFunction()
-    for _ in range(rounds):
-        step = associate(state, question)
-        if isinstance(step, Answer):
-            break
-        state = state.append_pairs(tuple((q, phi(q)) for q in step.questions))
-    return state
-
-
 def dialogue_machine(associate: AssociateFn, in_space: str = "",
                      out_space: str = "") -> ContinuousMachine:
     """The machine that runs the dialogue for as many rounds as it has effort.
 
-    Answers exactly when the associate commits within the effort budget; the
-    modulus is the list of questions recorded in the transcript so far, which
-    is self-modulating by construction (oracles agreeing on the transcript
-    questions replay the same dialogue).
+    At effort n it runs ``dialogue_trace`` for n + 1 rounds and answers
+    exactly when the associate commits in them; the modulus is the list of
+    questions asked in the first n rounds, which is self-modulating by
+    construction (oracles agreeing on those questions replay the same
+    dialogue).
     """
 
     def machine(phi, effort, question):
-        state = _dialogue_state(associate, phi, question, effort)
-        step = associate(state, question)
-        return step.value if isinstance(step, Answer) else None
+        return dialogue_trace(associate, phi, question, effort + 1).final_answer
 
     def modulus(phi, effort, question):
-        return list(_dialogue_state(associate, phi, question, effort).questions())
+        rounds = dialogue_trace(associate, phi, question, effort).rounds
+        return [asked for r in rounds if r.tag == "query" for asked in r.payload]
 
     return ContinuousMachine(machine, modulus, in_space, out_space)
 
@@ -142,14 +130,19 @@ class DialogueTranscript:
 
 def dialogue_trace(associate: AssociateFn, phi: NameOracle, question,
                    max_rounds: int) -> DialogueTranscript:
-    """Record each consultation of the associate until it answers or the cap."""
+    """Record each consultation of the associate until it answers or the cap.
+
+    A round's questions are put to ``phi`` only when another round follows,
+    so the queries of the last round before the cap stay unanswered.
+    """
     state = FiniteFunction()
     rounds = []
     for _ in range(max_rounds):
+        if rounds:
+            state = state.append_pairs(tuple((q, phi(q)) for q in rounds[-1].payload))
         step = associate(state, question)
         if isinstance(step, Answer):
             rounds.append(DialogueRound(state.size, "answer", step.value))
             return DialogueTranscript(tuple(rounds), True)
         rounds.append(DialogueRound(state.size, "query", list(step.questions)))
-        state = state.append_pairs(tuple((q, phi(q)) for q in step.questions))
     return DialogueTranscript(tuple(rounds), False)

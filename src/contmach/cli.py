@@ -45,21 +45,15 @@ def _count(text: str) -> int:
     return value
 
 
-def _builtin(name: str):
-    """Built-in monotone machines by name, with their space endpoints."""
-    if name == "invert":
-        mm = use_first(inversion_machine())
-        return mm, rational_reals(), rational_reals(), Fraction(0)
-    if name == "sign":
-        mm = use_first(sign_machine())
-        return mm, rational_reals(), kleeneans(), Fraction(0)
-    raise ValueError(f"unknown machine: {name!r}")
-
-
-def _point_map(name: str):
-    if name == "invert":
-        return lambda x: 1 / x
-    return sign_kleenean
+#: Built-in machines by name.  An entry builds, in ``check_realizer``'s
+#: argument order, the monotone machine, the point map it realizes and its
+#: input and output spaces, looking the library names up when it runs.
+_BUILTINS = {
+    "invert": lambda: (use_first(inversion_machine()), lambda x: 1 / x,
+                       rational_reals(), rational_reals()),
+    "sign": lambda: (use_first(sign_machine()), sign_kleenean,
+                     rational_reals(), kleeneans()),
+}
 
 
 def _emit(doc: dict, fmt: str, output) -> None:
@@ -83,29 +77,26 @@ def _text_lines(doc: dict, prefix: str = ""):
             yield f"{prefix}{key}: {json.dumps(value)}\n"
 
 
-
-def _add_common(parser, with_eps: bool = True):
-    parser.add_argument("--value", required=True, help="rational, as p/q or a decimal literal")
-    if with_eps:
-        parser.add_argument("--eps", required=True, help="output accuracy, a positive rational")
+def _add_effort(parser) -> None:
     parser.add_argument("--max-effort", type=_count, default=DEFAULT_FUEL_CAP)
     parser.add_argument("--schedule", choices=("linear", "powers_of_two"),
                         default=DEFAULT_SCHEDULE)
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--output", default=None)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="contmach")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("invert", help="approximate a multiplicative inverse"))
+    invert = sub.add_parser("invert", help="approximate a multiplicative inverse")
+    invert.add_argument("--value", required=True,
+                        help="rational, as p/q or a decimal literal")
+    invert.add_argument("--eps", required=True,
+                        help="output accuracy, a positive rational")
+    _add_effort(invert)
 
     sign = sub.add_parser("sign", help="print the Kleenean sign-name prefix")
     sign.add_argument("--value", required=True)
     sign.add_argument("--max-effort", type=_count, default=64)
-    sign.add_argument("--format", choices=("json", "text"), default="json")
-    sign.add_argument("--output", default=None)
 
     compose = sub.add_parser("compose", help="chain built-in machines, e.g. invert|invert")
     compose.add_argument("--pipeline", required=True)
@@ -114,28 +105,25 @@ def build_parser() -> _Parser:
                          help="question when the pipeline ends in rational names")
     compose.add_argument("--index", type=_count, default=0,
                          help="question when the pipeline ends in Kleenean names")
-    compose.add_argument("--max-effort", type=_count, default=DEFAULT_FUEL_CAP)
-    compose.add_argument("--schedule", choices=("linear", "powers_of_two"),
-                         default=DEFAULT_SCHEDULE)
-    compose.add_argument("--format", choices=("json", "text"), default="json")
-    compose.add_argument("--output", default=None)
+    _add_effort(compose)
 
     trace = sub.add_parser("associate-trace",
                            help="dialogue transcript of a built-in machine's associate")
-    trace.add_argument("--machine", required=True, choices=("invert", "sign"))
+    trace.add_argument("--machine", required=True, choices=tuple(_BUILTINS))
     trace.add_argument("--value", required=True)
     trace.add_argument("--eps", default=None, help="question for invert")
     trace.add_argument("--index", type=_count, default=0, help="question for sign")
     trace.add_argument("--max-rounds", type=_count, default=128)
-    trace.add_argument("--format", choices=("json", "text"), default="json")
-    trace.add_argument("--output", default=None)
 
     check = sub.add_parser("check", help="run a realizer check over a corpus file")
-    check.add_argument("--machine", required=True, choices=("invert", "sign"))
+    check.add_argument("--machine", required=True, choices=tuple(_BUILTINS))
     check.add_argument("--corpus", required=True)
     check.add_argument("--fuel-cap", type=_count, default=2 ** 10)
-    check.add_argument("--format", choices=("json", "text"), default="json")
-    check.add_argument("--output", default=None)
+
+    # Every subcommand ends with the same output flags.
+    for command in sub.choices.values():
+        command.add_argument("--format", choices=("json", "text"), default="json")
+        command.add_argument("--output", default=None)
     return parser
 
 
@@ -155,7 +143,7 @@ def _require_positive(parser, value: Fraction, flag: str) -> Fraction:
 def _run_invert(parser, args) -> int:
     value = _parse_value(parser, args.value)
     eps = _require_positive(parser, _parse_value(parser, args.eps), "--eps")
-    machine = use_first(inversion_machine())
+    machine = _BUILTINS["invert"]()[0]
     result, trace = evaluate_traced(machine, exact_name(value), eps,
                                     args.max_effort, args.schedule)
     doc = {
@@ -195,12 +183,11 @@ def _run_compose(parser, args) -> int:
         parser.error("empty pipeline")
     stages = []
     for name in stage_names:
-        try:
-            stages.append(_builtin(name))
-        except ValueError as exc:
-            parser.error(str(exc))
-    composite, space_out = stages[0][0], stages[0][2]
-    for machine, _, next_out, _ in stages[1:]:
+        if name not in _BUILTINS:
+            parser.error(f"unknown machine: {name!r}")
+        stages.append(_BUILTINS[name]())
+    composite, space_out = stages[0][0], stages[0][3]
+    for machine, _, _, next_out in stages[1:]:
         try:
             composite = compose_monotone(machine, composite,
                                          space_out.answer_alphabet.default)
@@ -232,7 +219,7 @@ def _run_compose(parser, args) -> int:
 
 def _run_associate_trace(parser, args) -> int:
     value = _parse_value(parser, args.value)
-    machine, space_in, _, _ = _builtin(args.machine)
+    machine, _, space_in, _ = _BUILTINS[args.machine]()
     if args.machine == "invert":
         if args.eps is None:
             parser.error("--eps is required for invert")
@@ -262,9 +249,7 @@ def _run_check(parser, args) -> int:
             corpus = load_corpus(handle.read())
     except (OSError, ValueError, KeyError) as exc:
         parser.error(f"cannot load corpus: {exc}")
-    machine, space_in, space_out, _ = _builtin(args.machine)
-    report = check_realizer(machine, _point_map(args.machine), space_in,
-                            space_out, corpus, args.fuel_cap)
+    report = check_realizer(*_BUILTINS[args.machine](), corpus, args.fuel_cap)
     doc = {
         "command": "check",
         "machine": args.machine,

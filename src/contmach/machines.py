@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .alphabets import (Alphabet, EqFn, NameOracle, encode_value,
@@ -44,10 +44,11 @@ class ContinuousMachine:
 
 
 @dataclass(frozen=True)
-class MonotoneMachine:
+class MonotoneMachine(ContinuousMachine):
     """A continuous machine whose outputs persist under more effort.
 
-    Once ``machine(phi, n, q)`` answers, every effort above ``n`` repeats the
+    It is a ``ContinuousMachine`` with the same fields and one more promise:
+    once ``machine(phi, n, q)`` answers, every effort above ``n`` repeats the
     same answer and the modulus list stays equal to its value at ``n``.
 
     The machines ``use_first`` and ``compose_monotone`` build also carry a
@@ -60,24 +61,6 @@ class MonotoneMachine:
     hashable questions that machines treat alike whenever they compare equal.
     """
 
-    cm: ContinuousMachine
-
-    @property
-    def machine(self) -> MachineFn:
-        return self.cm.machine
-
-    @property
-    def modulus(self) -> ModulusFn:
-        return self.cm.modulus
-
-    @property
-    def in_space(self) -> str:
-        return self.cm.in_space
-
-    @property
-    def out_space(self) -> str:
-        return self.cm.out_space
-
 
 @dataclass(frozen=True)
 class _SettlingMachine(MonotoneMachine):
@@ -88,12 +71,12 @@ class _SettlingMachine(MonotoneMachine):
     results are memoized per question for that one oracle and cap.
     """
 
-    settle: Callable[[NameOracle, int], Callable]
+    settle: Callable[[NameOracle, int], Callable] = field(kw_only=True)
 
 
 def monotone_machine(machine: MachineFn, modulus: ModulusFn,
                      in_space: str = "", out_space: str = "") -> MonotoneMachine:
-    return MonotoneMachine(ContinuousMachine(machine, modulus, in_space, out_space))
+    return MonotoneMachine(machine, modulus, in_space, out_space)
 
 
 def _machine_fn(machine_like) -> MachineFn:
@@ -119,11 +102,11 @@ class MembershipResult(NamedTuple):
 
 
 def effort_schedule(fuel_cap: int, schedule: str = "linear"):
-    """Efforts visited up to the cap: 0,1,2,… or 0,1,2,4,8,…"""
+    """Efforts visited up to the cap: 0,1,2,… or 0,1,2,4,8,…; none below 0."""
     if schedule == "linear":
         return range(fuel_cap + 1)
     if schedule == "powers_of_two":
-        efforts = [0]
+        efforts = [0] if fuel_cap >= 0 else []
         power = 1
         while power <= fuel_cap:
             efforts.append(power)
@@ -197,6 +180,10 @@ def in_F_M(machine_like, phi: NameOracle, candidate: NameOracle,
     effort within the cap.  Questions where no effort produced any answer at
     all are reported as undecided: a False with undecided entries may only
     mean the cap was too small.
+
+    Every effort 0..cap is tried, whatever the schedule: membership asks for
+    *some* effort whose answer matches, and a multivalued machine may give
+    that answer only at efforts a schedule skips.
     """
     machine = _machine_fn(machine_like)
     holds = True
@@ -253,11 +240,8 @@ def use_first(machine_like) -> MonotoneMachine:
         raise ValueError("use_first needs a machine with a modulus")
 
     def first_machine(phi, effort, question):
-        for step in range(effort + 1):
-            value = machine(phi, step, question)
-            if value is not None:
-                return value
-        return None
+        found = _first_answer(machine, phi, question, range(effort + 1))
+        return None if found is None else found.value
 
     def first_modulus(phi, effort, question):
         collected = list(modulus(phi, 0, question))
@@ -267,10 +251,10 @@ def use_first(machine_like) -> MonotoneMachine:
             collected.extend(modulus(phi, step, question))
         return collected
 
-    cm = ContinuousMachine(first_machine, first_modulus,
-                           getattr(machine_like, "in_space", ""),
-                           getattr(machine_like, "out_space", ""))
-    return _SettlingMachine(cm, functools.partial(_first_answers, machine))
+    return _SettlingMachine(first_machine, first_modulus,
+                            getattr(machine_like, "in_space", ""),
+                            getattr(machine_like, "out_space", ""),
+                            settle=functools.partial(_first_answers, machine))
 
 
 def derive_modulus_machine(machine_like) -> ContinuousMachine:
@@ -381,9 +365,9 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
 
         return settled
 
-    cm = ContinuousMachine(composite_machine, composite_modulus,
-                           inner.in_space, outer.out_space)
-    return _SettlingMachine(cm, composite_settle)
+    return _SettlingMachine(composite_machine, composite_modulus,
+                            inner.in_space, outer.out_space,
+                            settle=composite_settle)
 
 
 # ---------------------------------------------------------------------------

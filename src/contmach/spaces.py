@@ -17,7 +17,8 @@ from .alphabets import (OPT_NONE, Alphabet, NameOracle, STAR,
                         booleans_alphabet, naturals_alphabet,
                         one_point_alphabet, opt_alphabet, pair_alphabet,
                         rationals_alphabet)
-from .machines import MonotoneMachine, monotone_machine
+from .machines import (ContinuousMachine, MonotoneMachine, monotone_machine,
+                       use_first)
 
 #: Accuracy questions sampled by the rational-real name check: 1, 1/2, …, 2^-20.
 RATIONAL_NAME_SCALES = tuple(Fraction(1, 2 ** k) for k in range(21))
@@ -139,13 +140,11 @@ def kleeneans() -> RepresentedSpace:
 
 def monotonize_kleenean_name(phi: NameOracle) -> NameOracle:
     """Repeat the first settled value from its index onward."""
+    search = kleenean_to_bool_machine().machine
 
     def monotone(index: int):
-        for earlier in range(index + 1):
-            value = phi(earlier)
-            if value is not OPT_NONE:
-                return value
-        return OPT_NONE
+        value = search(phi, index, STAR)
+        return OPT_NONE if value is None else value
 
     return monotone
 
@@ -162,28 +161,31 @@ def bool_to_kleenean_realizer() -> MonotoneMachine:
     return monotone_machine(machine, modulus, "boolean_names", "kleenean_names")
 
 
+def _first_settled(key, in_space: str = "", out_space: str = "") -> MonotoneMachine:
+    """``use_first`` of a one-step search: the first settled value at a key.
+
+    At effort n the step answers the name's value at ``key(n, q)`` unless it
+    is OPT_NONE, with modulus ``[key(n, q)]``.
+    """
+
+    def step(phi, effort, question):
+        value = phi(key(effort, question))
+        return None if value is OPT_NONE else value
+
+    def step_modulus(phi, effort, question):
+        return [key(effort, question)]
+
+    return use_first(ContinuousMachine(step, step_modulus, in_space, out_space))
+
+
 def kleenean_to_bool_machine() -> MonotoneMachine:
     """Search a Kleenean name for its first settled value.
 
+    It is ``use_first`` of the step that reads index n at effort n.
     Properly partial: on names of bottom it stays silent past any cap.
     """
-
-    def machine(phi, effort, question):
-        for index in range(effort + 1):
-            value = phi(index)
-            if value is not OPT_NONE:
-                return value
-        return None
-
-    def modulus(phi, effort, question):
-        consulted = []
-        for index in range(effort + 1):
-            consulted.append(index)
-            if phi(index) is not OPT_NONE:
-                break
-        return consulted
-
-    return monotone_machine(machine, modulus, "kleenean_names", "boolean_names")
+    return _first_settled(lambda effort, question: effort,
+                          "kleenean_names", "boolean_names")
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +231,9 @@ def embed_name(phi: NameOracle) -> NameOracle:
 
 
 def search_translate() -> MonotoneMachine:
-    """Translate precompleted names back: scan the stages up to the effort."""
+    """Translate precompleted names back: scan the stages up to the effort.
 
-    def machine(phi, effort, question):
-        for stage in range(effort + 1):
-            value = phi((stage, question))
-            if value is not OPT_NONE:
-                return value
-        return None
-
-    def modulus(phi, effort, question):
-        consulted = []
-        for stage in range(effort + 1):
-            consulted.append((stage, question))
-            if phi((stage, question)) is not OPT_NONE:
-                break
-        return consulted
-
-    return monotone_machine(machine, modulus)
+    It is ``use_first`` of the step that reads stage n of the question at
+    effort n.
+    """
+    return _first_settled(lambda effort, question: (effort, question))

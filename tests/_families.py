@@ -6,7 +6,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from contmach import ContinuousMachine, MonotoneMachine, STAR
+from contmach import ContinuousMachine, MonotoneMachine, STAR, monotone_machine
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,8 @@ def threshold_machine(spec: ThresholdSpec) -> ContinuousMachine:
 
 def monotone_threshold(spec: ThresholdSpec) -> MonotoneMachine:
     assert not spec.vary
-    return MonotoneMachine(threshold_machine(spec))
+    cm = threshold_machine(spec)
+    return monotone_machine(cm.machine, cm.modulus)
 
 
 def random_threshold_spec(rng: random.Random, vary: bool = True,

@@ -74,6 +74,69 @@ def test_dialogue_machines_freeze_after_answering():
         assert cm.modulus(phi, effort, "q") == ["q0"]
 
 
+def replayed_dialogue(associate):
+    # Independent reference: grow the transcript for as many rounds as there
+    # is effort (an Answer freezes it), then consult once more.
+    def state_after(phi, effort, question):
+        state = FiniteFunction()
+        for _ in range(effort):
+            step = associate(state, question)
+            if isinstance(step, Answer):
+                break
+            state = state.append_pairs(tuple((q, phi(q)) for q in step.questions))
+        return state
+
+    def machine(phi, effort, question):
+        step = associate(state_after(phi, effort, question), question)
+        return step.value if isinstance(step, Answer) else None
+
+    def modulus(phi, effort, question):
+        return list(state_after(phi, effort, question).questions())
+
+    return machine, modulus
+
+
+def counting_calls(fn, calls):
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+    return counted
+
+
+def dialogue_fns(associate):
+    cm = dialogue_machine(associate)
+    return cm.machine, cm.modulus
+
+
+def run_counted(make_fns, associate, phi, effort, question):
+    # (machine value, modulus list), associate consultations, oracle queries.
+    consulted, queried = [0], [0]
+    fns = make_fns(counting_calls(associate, consulted))
+    values = [fn(counting_calls(phi, queried), effort, question) for fn in fns]
+    return values, consulted[0], queried[0]
+
+
+def test_dialogue_machine_matches_replayed_dialogue():
+    # Equal values and modulus lists, never more associate consultations or
+    # oracle queries than the replayed reference.
+    inverse = machine_to_associate(use_first(inversion_machine()),
+                                   Fraction(0), Fraction(0))
+    cases = [(constant_answer_associate("a"), constant_oracle(0), "q"),
+             (head_associate("q0"), constant_oracle(42), "q"),
+             (divergent_associate("q0"), constant_oracle(3), "q"),
+             (inverse, exact_name(Fraction(2)), Fraction(1)),
+             (inverse, exact_name(Fraction(0)), Fraction(1, 8))]
+    for associate, phi, question in cases:
+        for effort in range(6):
+            got, got_consulted, got_queried = run_counted(
+                dialogue_fns, associate, phi, effort, question)
+            want, want_consulted, want_queried = run_counted(
+                replayed_dialogue, associate, phi, effort, question)
+            assert got == want, (question, effort)
+            assert got_consulted <= want_consulted
+            assert got_queried <= want_queried
+
+
 # ---------------------------------------------------------------------------
 # machine_to_associate
 

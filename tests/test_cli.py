@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from contmach import parse_rational
-from contmach.cli import main
+from contmach.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -80,6 +80,45 @@ def test_usage_errors_exit_one(capsys):
             main(argv)
         assert err.value.code == 1, argv
         capsys.readouterr()
+
+
+OUTPUT_DEFAULTS = {"format": "json", "output": None}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["invert", "--value", "1", "--eps", "1"],
+     {"value": "1", "eps": "1", "max_effort": 2 ** 20,
+      "schedule": "powers_of_two"}),
+    (["sign", "--value", "1"], {"value": "1", "max_effort": 64}),
+    (["compose", "--pipeline", "invert", "--value", "1"],
+     {"pipeline": "invert", "value": "1", "eps": None, "index": 0,
+      "max_effort": 2 ** 20, "schedule": "powers_of_two"}),
+    (["associate-trace", "--machine", "sign", "--value", "1"],
+     {"machine": "sign", "value": "1", "eps": None, "index": 0,
+      "max_rounds": 128}),
+    (["check", "--machine", "invert", "--corpus", "c.json"],
+     {"machine": "invert", "corpus": "c.json", "fuel_cap": 2 ** 10}),
+])
+def test_flag_surface_and_defaults(argv, expected):
+    # Every subcommand's full set of flags, with their defaults.
+    args = vars(build_parser().parse_args(argv))
+    assert args == {"command": argv[0], **expected, **OUTPUT_DEFAULTS}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sign", "--value", "1", "--schedule", "linear"],
+    ["sign", "--value", "1", "--eps", "1"],
+    ["check", "--machine", "invert", "--corpus", "c.json", "--max-effort", "3"],
+    ["associate-trace", "--machine", "sign", "--value", "1", "--max-effort", "3"],
+    ["invert", "--value", "1", "--eps", "1", "--index", "0"],
+    ["check", "--machine", "frobnicate", "--corpus", "c.json"],
+    ["compose", "--pipeline", "invert", "--value", "1", "--schedule", "fibonacci"],
+])
+def test_flags_a_subcommand_lacks_exit_one(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(argv)
+    assert err.value.code == 1
+    capsys.readouterr()
 
 
 def test_compose_inversion_twice(capsys):

@@ -60,6 +60,9 @@ def test_effort_schedule_shapes():
     assert list(effort_schedule(5, "linear")) == [0, 1, 2, 3, 4, 5]
     assert list(effort_schedule(10, "powers_of_two")) == [0, 1, 2, 4, 8]
     assert list(effort_schedule(0, "powers_of_two")) == [0]
+    # A negative cap visits no effort on either schedule.
+    assert list(effort_schedule(-1, "linear")) == []
+    assert list(effort_schedule(-1, "powers_of_two")) == []
     with pytest.raises(ValueError):
         effort_schedule(3, "fibonacci")
 
@@ -289,10 +292,10 @@ def test_modulus_soundness_and_self_modulation_exhaustive():
     for spec in specs:
         cm = threshold_machine(spec)
         machines.append(cm)
-        machines.append(use_first(cm).cm)
+        machines.append(use_first(cm))
     inner = monotone_threshold(ThresholdSpec(1, 2, base=1, spread=2, salt=1))
     outer = monotone_threshold(ThresholdSpec(0, 1, base=0, spread=2, salt=2))
-    machines.append(compose_monotone(outer, inner, intermediate_default=0).cm)
+    machines.append(compose_monotone(outer, inner, intermediate_default=0))
 
     oracles = all_small_oracles()
     for cm in machines:
@@ -415,8 +418,10 @@ def test_settle_empty_and_zero_caps():
     assert calls == [0]
     for schedule in ("linear", "powers_of_two"):
         assert evaluate(first, phi, "q", 0, schedule) == ("a", 0)
-        assert (evaluate(first, phi, "q", -1, schedule)
-                == evaluate(scan_twin(first), phi, "q", -1, schedule))
+        assert evaluate(first, phi, "q", -1, schedule) is None
+        assert evaluate(scan_twin(first), phi, "q", -1, schedule) is None
+        result, trace = evaluate_traced(first, phi, "q", -1, schedule)
+        assert result is None and trace["attempts"] == []
     late = use_first(ContinuousMachine(step_machine(1), lambda phi, n, q: []))
     assert evaluate(late, phi, "q", 0, "linear") is None
     assert evaluate(late, phi, "q", 0, "powers_of_two") is None

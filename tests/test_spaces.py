@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 from contmach import (Kleenean, OPT_NONE, STAR, booleans_alphabet,
@@ -206,3 +207,70 @@ def test_precompleted_rationals_with_stalled_stages():
         return base(question) if stage >= 2 else OPT_NONE
 
     assert space.is_name(staged, x)
+
+
+# ---------------------------------------------------------------------------
+# Search machines against their hand-written form
+
+
+def scan_search(key):
+    # Independent reference: the search written out as machine and modulus.
+    def machine(phi, effort, question):
+        for step in range(effort + 1):
+            value = phi(key(step, question))
+            if value is not OPT_NONE:
+                return value
+        return None
+
+    def modulus(phi, effort, question):
+        consulted = []
+        for step in range(effort + 1):
+            consulted.append(key(step, question))
+            if phi(key(step, question)) is not OPT_NONE:
+                break
+        return consulted
+
+    return machine, modulus
+
+
+def counted(phi, calls):
+    def oracle(question):
+        calls[0] += 1
+        return phi(question)
+    return oracle
+
+
+def kleenean_prefixes(max_length=4):
+    for length in range(max_length + 1):
+        yield from itertools.product((OPT_NONE, True, False), repeat=length)
+
+
+def assert_search_matches_scan(machine_like, key, names, questions):
+    reference = scan_search(key)
+    for name in names:
+        for effort in range(6):
+            for question in questions:
+                for got_fn, want_fn in zip((machine_like.machine,
+                                            machine_like.modulus), reference):
+                    got_calls, want_calls = [0], [0]
+                    got = got_fn(counted(name, got_calls), effort, question)
+                    want = want_fn(counted(name, want_calls), effort, question)
+                    assert got == want, (effort, question)
+                    assert got_calls[0] <= want_calls[0]
+
+
+def test_kleenean_to_bool_matches_hand_written_search():
+    names = [kleenean_name(prefix) for prefix in kleenean_prefixes()]
+    assert_search_matches_scan(kleenean_to_bool_machine(),
+                               lambda step, question: step, names, [STAR])
+
+
+def test_search_translate_matches_hand_written_search():
+    def staged(prefix):
+        column = kleenean_name(prefix)
+        return lambda pair: column(pair[0]) if pair[1] == "q" else OPT_NONE
+
+    names = [staged(prefix) for prefix in kleenean_prefixes()]
+    assert_search_matches_scan(search_translate(),
+                               lambda step, question: (step, question),
+                               names, ["q", "r"])
