@@ -140,24 +140,28 @@ def _require_positive(parser, value: Fraction, flag: str) -> Fraction:
     return value
 
 
-def _run_invert(parser, args) -> int:
-    value = _parse_value(parser, args.value)
-    eps = _require_positive(parser, _parse_value(parser, args.eps), "--eps")
-    machine = _BUILTINS["invert"]()[0]
-    result, trace = evaluate_traced(machine, exact_name(value), eps,
+def _run_evaluation(args, head: dict, machine, value, question) -> int:
+    """Evaluate ``machine`` on the exact name of ``value`` and emit the trace."""
+    result, trace = evaluate_traced(machine, exact_name(value), question,
                                     args.max_effort, args.schedule)
     doc = {
-        "command": "invert",
-        "value": format_rational(value),
-        "eps": format_rational(eps),
+        **head,
         "schedule": args.schedule,
         "fuel_cap": args.max_effort,
-        "answer": None if result is None else format_rational(result.value),
+        "answer": None if result is None else encode_value(result.value),
         "effort": None if result is None else result.effort,
         "trace": trace,
     }
     _emit(doc, args.format, args.output)
     return EXIT_OK if result is not None else EXIT_UNDECIDED
+
+
+def _run_invert(parser, args) -> int:
+    value = _parse_value(parser, args.value)
+    eps = _require_positive(parser, _parse_value(parser, args.eps), "--eps")
+    head = {"command": "invert", "value": format_rational(value),
+            "eps": format_rational(eps)}
+    return _run_evaluation(args, head, _BUILTINS["invert"]()[0], value, eps)
 
 
 def _run_sign(parser, args) -> int:
@@ -200,21 +204,9 @@ def _run_compose(parser, args) -> int:
         question = _require_positive(parser, _parse_value(parser, args.eps), "--eps")
     else:
         question = args.index
-    result, trace = evaluate_traced(composite, exact_name(value), question,
-                                    args.max_effort, args.schedule)
-    doc = {
-        "command": "compose",
-        "pipeline": "|".join(stage_names),
-        "value": format_rational(value),
-        "question": encode_value(question),
-        "schedule": args.schedule,
-        "fuel_cap": args.max_effort,
-        "answer": None if result is None else encode_value(result.value),
-        "effort": None if result is None else result.effort,
-        "trace": trace,
-    }
-    _emit(doc, args.format, args.output)
-    return EXIT_OK if result is not None else EXIT_UNDECIDED
+    head = {"command": "compose", "pipeline": "|".join(stage_names),
+            "value": format_rational(value), "question": encode_value(question)}
+    return _run_evaluation(args, head, composite, value, question)
 
 
 def _run_associate_trace(parser, args) -> int:

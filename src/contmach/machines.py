@@ -57,8 +57,9 @@ class MonotoneMachine(ContinuousMachine):
     Its result equals the per-effort scan only when this contract holds:
     monotonicity as above, a self-modulating modulus (oracles agreeing on
     ``modulus(phi, n, q)`` give equal outputs and equal modulus lists), names
-    that are pure functions (answers are memoized per question), and
-    hashable questions that machines treat alike whenever they compare equal.
+    that are pure functions, and, inside compositions (which cache each
+    intermediate question's settled answer), hashable intermediate questions
+    that machines treat alike whenever they compare equal.
     """
 
 
@@ -67,8 +68,9 @@ class _SettlingMachine(MonotoneMachine):
     """A monotone machine that can settle a question in one pass.
 
     ``settle(phi, cap)`` returns a function mapping a question to the first
-    effort <= cap at which the machine answers, with that answer, or to None;
-    results are memoized per question for that one oracle and cap.
+    effort <= cap at which the machine answers, with that answer, or to None.
+    It keeps no memo: ``compose_monotone`` caches its inner stage's settled
+    answers, the only ones asked for again within one evaluation.
     """
 
     settle: Callable[[NameOracle, int], Callable] = field(kw_only=True)
@@ -147,21 +149,26 @@ def _first_answer(machine: MachineFn, phi: NameOracle, question,
 def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
                     schedule: str = "linear",
                     encode: Callable = encode_value):
-    """Like evaluate, but also builds the attempt-by-attempt trace record."""
-    machine = _machine_fn(machine_like)
+    """Like evaluate, but also builds the attempt-by-attempt trace record.
+
+    The machine is evaluated once, by ``evaluate``; the trace then lists the
+    scheduled efforts up to the answering one.  Every earlier attempt is
+    silent, since the answer is the first along the schedule, and each
+    attempt shows the modulus list at its effort.
+    """
+    result = evaluate(machine_like, phi, question, fuel_cap, schedule)
     modulus = _modulus_fn(machine_like)
+    efforts = effort_schedule(fuel_cap, schedule)
+    if result is not None:
+        efforts = efforts[:efforts.index(result.effort) + 1]
     attempts = []
-    result = None
-    for effort in effort_schedule(fuel_cap, schedule):
-        value = machine(phi, effort, question)
+    for effort in efforts:
+        answered = result is not None and effort == result.effort
         attempt = {"n": effort,
-                   "result": "none" if value is None else encode(value)}
+                   "result": encode(result.value) if answered else "none"}
         if modulus is not None:
             attempt["modulus"] = [encode(q) for q in modulus(phi, effort, question)]
         attempts.append(attempt)
-        if value is not None:
-            result = Evaluation(value, effort)
-            break
     trace = {
         "effort_schedule": schedule,
         "attempts": attempts,
@@ -212,9 +219,8 @@ def in_F_M(machine_like, phi: NameOracle, candidate: NameOracle,
 
 
 def _first_answers(machine: MachineFn, phi: NameOracle, cap: int):
-    """Memoized first answer per question of ``machine`` on ``phi``, efforts 0..cap."""
-    return functools.cache(
-        lambda question: _first_answer(machine, phi, question, range(cap + 1)))
+    """First answer per question of ``machine`` on ``phi``, efforts 0..cap."""
+    return lambda question: _first_answer(machine, phi, question, range(cap + 1))
 
 
 def _settle_fn(mm: MonotoneMachine):
@@ -244,12 +250,10 @@ def use_first(machine_like) -> MonotoneMachine:
         return None if found is None else found.value
 
     def first_modulus(phi, effort, question):
-        collected = list(modulus(phi, 0, question))
-        step = 0
-        while step < effort and machine(phi, step, question) is None:
-            step += 1
-            collected.extend(modulus(phi, step, question))
-        return collected
+        found = _first_answer(machine, phi, question, range(effort))
+        last = effort if found is None else found.effort
+        return [needed for step in range(last + 1)
+                for needed in modulus(phi, step, question)]
 
     return _SettlingMachine(first_machine, first_modulus,
                             getattr(machine_like, "in_space", ""),
@@ -342,7 +346,7 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     settle_inner, settle_outer = _settle_fn(inner), _settle_fn(outer)
 
     def composite_settle(phi, cap):
-        inner_settled = settle_inner(phi, cap)
+        inner_settled = functools.cache(settle_inner(phi, cap))
 
         def psi(question):
             found = inner_settled(question)
@@ -350,7 +354,6 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
 
         outer_settled = settle_outer(psi, cap)
 
-        @functools.cache
         def settled(question) -> Optional[Evaluation]:
             found = outer_settled(question)
             if found is None:

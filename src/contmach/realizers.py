@@ -252,30 +252,24 @@ def check_realizer(machine_like, point_map: Callable, space_in: RepresentedSpace
     undecided = []
     for sample in samples:
         target = point_map(sample.point)
+        where = {"point": encode_value(sample.point), "name_kind": sample.kind}
         answers = {}
         incomplete = False
         for question in questions:
             result = evaluate(machine_like, sample.name, question, fuel_cap,
                               schedule)
             if result is None:
-                undecided.append({"point": encode_value(sample.point),
-                                  "name_kind": sample.kind,
-                                  "question": encode_value(question)})
+                undecided.append({**where, "question": encode_value(question)})
                 incomplete = True
                 continue
             answers[question] = result.value
-            if space_out.answer_ok is not None:
-                if not space_out.answer_ok(target, question, result.value):
-                    failures.append({"point": encode_value(sample.point),
-                                     "name_kind": sample.kind,
-                                     "question": encode_value(question),
-                                     "answer": encode_value(result.value)})
-        if space_out.answer_ok is None and not incomplete:
-            candidate = lambda q, table=answers: table[q]
-            if not space_out.is_name(candidate, target):
-                failures.append({"point": encode_value(sample.point),
-                                 "name_kind": sample.kind,
-                                 "question": "name_check",
-                                 "answer": [encode_value(answers[q])
-                                            for q in questions]})
+            if (space_out.answer_ok is not None
+                    and not space_out.answer_ok(target, question, result.value)):
+                failures.append({**where, "question": encode_value(question),
+                                 "answer": encode_value(result.value)})
+        if (space_out.answer_ok is None and not incomplete
+                and not space_out.is_name(answers.__getitem__, target)):
+            failures.append({**where, "question": "name_check",
+                             "answer": [encode_value(answers[q])
+                                        for q in questions]})
     return RealizerReport(len(samples), tuple(failures), tuple(undecided))

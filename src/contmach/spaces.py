@@ -17,8 +17,8 @@ from .alphabets import (OPT_NONE, Alphabet, NameOracle, STAR,
                         booleans_alphabet, naturals_alphabet,
                         one_point_alphabet, opt_alphabet, pair_alphabet,
                         rationals_alphabet)
-from .machines import (ContinuousMachine, MonotoneMachine, monotone_machine,
-                       use_first)
+from .machines import (ContinuousMachine, MonotoneMachine, evaluate,
+                       monotone_machine, use_first)
 
 #: Accuracy questions sampled by the rational-real name check: 1, 1/2, …, 2^-20.
 RATIONAL_NAME_SCALES = tuple(Fraction(1, 2 ** k) for k in range(21))
@@ -198,20 +198,20 @@ def precompletion(space: RepresentedSpace,
 
     An oracle names a point when, for each original question, the first
     settled answer along the stages is a valid answer of some name of the
-    point.  The name check extracts a name by column search (bounded by
-    ``search_bound``) and delegates to the underlying space.
+    point.  The name check extracts a name with ``search_translate`` over
+    stages 0..``search_bound`` - 1 and delegates to the underlying space.
     """
     questions = pair_alphabet(naturals_alphabet(), space.question_alphabet)
     answers = opt_alphabet(space.answer_alphabet)
+    translate = search_translate()
 
     def extract(phi: NameOracle) -> NameOracle:
         def extracted(question):
-            for stage in range(search_bound):
-                value = phi((stage, question))
-                if value is not OPT_NONE:
-                    return value
-            raise LookupError(
-                f"no settled answer for {question!r} within {search_bound} stages")
+            found = evaluate(translate, phi, question, search_bound - 1)
+            if found is None:
+                raise LookupError(f"no settled answer for {question!r} "
+                                  f"within {search_bound} stages")
+            return found.value
         return extracted
 
     def is_name(phi: NameOracle, point) -> bool:

@@ -11,7 +11,8 @@ from contmach import (INVERSION_POINTS, OPT_NONE, SIGN_POINTS,
                       ContinuousMachine, ModulusSearchError, STAR,
                       brute_force_min_modulus, compose_monotone,
                       constant_oracle, derive_modulus_machine,
-                      effort_schedule, evaluate, evaluate_traced, exact_name,
+                      effort_schedule, encode_value, evaluate,
+                      evaluate_traced, exact_name,
                       grid_name, in_F_M, inversion_machine,
                       kleenean_to_bool_machine, monotone_machine,
                       naturals_alphabet, restriction_eq, sign_machine,
@@ -449,6 +450,79 @@ def test_settle_raw_call_counts():
                       Fraction(1, 2 ** 30), 2 ** 20, "powers_of_two")
     assert result is not None
     assert calls[0] < 1000
+    # Exact counts: an intermediate question settled twice would raise them.
+    for depth, expected in ((2, 43), (3, 147), (4, 211)):
+        calls = [0]
+        assert evaluate(inversion_chain(depth, calls),
+                        exact_name(Fraction(1, 10 ** 6)), Fraction(1, 2 ** 30),
+                        2 ** 20, "powers_of_two") is not None
+        assert calls == [expected], depth
+
+
+# ---------------------------------------------------------------------------
+# evaluate_traced renders evaluate's result
+
+
+def traced_by_attempts(machine_like, phi, question, fuel_cap, schedule):
+    # Reference: run the machine at every scheduled effort until it answers.
+    machine = getattr(machine_like, "machine", machine_like)
+    modulus = getattr(machine_like, "modulus", None)
+    attempts = []
+    result = None
+    for effort in effort_schedule(fuel_cap, schedule):
+        value = machine(phi, effort, question)
+        attempt = {"n": effort,
+                   "result": "none" if value is None else encode_value(value)}
+        if modulus is not None:
+            attempt["modulus"] = [encode_value(q)
+                                  for q in modulus(phi, effort, question)]
+        attempts.append(attempt)
+        if value is not None:
+            result = (value, effort)
+            break
+    trace = {"effort_schedule": schedule, "attempts": attempts,
+             "final": None if result is None else encode_value(result[0]),
+             "fuel_cap": fuel_cap}
+    return result, trace
+
+
+def only_at_three(phi, effort, question):
+    # Not monotone: answers at effort 3 and nowhere else.
+    return "a" if effort == 3 else None
+
+
+@pytest.mark.parametrize("machine_like, points", [
+    (only_at_three, (Fraction(0),)),
+    (ContinuousMachine(only_at_three, lambda phi, n, q: [n, q]), (Fraction(0),)),
+    (use_first(inversion_machine()), (Fraction(0), Fraction(7, 5))),
+    # On 0 the chain's per-attempt modulus alone takes seconds at cap 64.
+    (inversion_chain(2), (Fraction(7, 5), Fraction(1, 10 ** 6))),
+])
+@pytest.mark.parametrize("schedule", ["linear", "powers_of_two"])
+def test_evaluate_traced_matches_attempt_loop(machine_like, points, schedule):
+    for point in points:
+        phi = exact_name(point)
+        for cap in (-1, 0, 5, 64):
+            result, trace = evaluate_traced(machine_like, phi, Fraction(1, 8),
+                                            cap, schedule)
+            expected = traced_by_attempts(machine_like, phi, Fraction(1, 8),
+                                          cap, schedule)
+            assert (result, trace) == expected, (point, cap)
+            assert list(trace) == list(expected[1])
+            assert all(list(got) == list(want) for got, want
+                       in zip(trace["attempts"], expected[1]["attempts"]))
+
+
+def test_evaluate_traced_raw_call_count():
+    # One settle (65 raw calls) plus the modulus at each of the 65 attempts,
+    # which probes efforts 0..n-1 at attempt n: 65 + 64 * 65 / 2.
+    calls = [0]
+    first = use_first(counting(inversion_machine(), calls))
+    result, trace = evaluate_traced(first, exact_name(Fraction(0)),
+                                    Fraction(1, 8), 64, "linear")
+    assert result is None
+    assert len(trace["attempts"]) == 65
+    assert calls == [2145]
 
 
 # ---------------------------------------------------------------------------

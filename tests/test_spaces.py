@@ -209,6 +209,24 @@ def test_precompleted_rationals_with_stalled_stages():
     assert space.is_name(staged, x)
 
 
+def test_precompletion_search_bound_is_the_stage_count():
+    x = Fraction(2, 3)
+    base = exact_name(x)
+
+    def settled_at(first_stage):
+        def staged(pair):
+            stage, question = pair
+            return base(question) if stage >= first_stage else OPT_NONE
+        return staged
+
+    for bound in (1, 2, 5):
+        space = precompletion(rational_reals(), search_bound=bound)
+        assert space.is_name(settled_at(bound - 1), x)
+        assert not space.is_name(settled_at(bound), x)
+    assert not precompletion(rational_reals(), search_bound=0).is_name(
+        settled_at(0), x)
+
+
 # ---------------------------------------------------------------------------
 # Search machines against their hand-written form
 
