@@ -4,18 +4,17 @@ A name space is the set of total functions from a question alphabet Q into an
 answer alphabet A.  Names ("oracles") are plain callables; finite
 sub-functions are ordered lists of question/answer pairs with first-match
 lookup, so duplicated questions are harmless and transcripts can simply be
-appended to.
+appended to.  Equality of questions and answers is Python ``==``, the
+decidable equality the paper assumes of every alphabet.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-EqFn = Callable[[object, object], bool]
 NameOracle = Callable[[object], object]
 
 #: Canonical element of the one-point question alphabet.
@@ -43,14 +42,14 @@ OPT_NONE = _OptNone()
 class Alphabet:
     """A countable set with enumeration, decidable equality and a default.
 
-    ``enumerate`` must reach every element tests care about; ``index_of`` is
-    the optional inverse and is present for all alphabets shipped here.
+    Equality of elements is Python ``==``.  ``enumerate`` must reach every
+    element tests care about; ``index_of`` is the optional inverse and is
+    present for all alphabets shipped here.
     """
 
     name: str
     enumerate: Callable[[int], object]
     default: object
-    eq: EqFn = operator.eq
     index_of: Optional[Callable[[object], int]] = None
 
     def prefix(self, count: int) -> list:
@@ -133,15 +132,10 @@ def opt_alphabet(base: Alphabet) -> Alphabet:
     def enum(i: int):
         return OPT_NONE if i == 0 else base.enumerate(i - 1)
 
-    def eq(a, b) -> bool:
-        if a is OPT_NONE or b is OPT_NONE:
-            return a is b
-        return base.eq(a, b)
-
     index = None
     if base.index_of is not None:
         index = lambda e: 0 if e is OPT_NONE else base.index_of(e) + 1
-    return Alphabet(f"opt_{base.name}", enum, OPT_NONE, eq, index)
+    return Alphabet(f"opt_{base.name}", enum, OPT_NONE, index)
 
 
 def _cantor_pair(x: int, y: int) -> int:
@@ -161,14 +155,11 @@ def pair_alphabet(left: Alphabet, right: Alphabet) -> Alphabet:
         x, y = _cantor_unpair(i)
         return (left.enumerate(x), right.enumerate(y))
 
-    def eq(a, b) -> bool:
-        return left.eq(a[0], b[0]) and right.eq(a[1], b[1])
-
     index = None
     if left.index_of is not None and right.index_of is not None:
         index = lambda e: _cantor_pair(left.index_of(e[0]), right.index_of(e[1]))
     return Alphabet(f"{left.name}_x_{right.name}", enum,
-                    (left.default, right.default), eq, index)
+                    (left.default, right.default), index)
 
 
 # ---------------------------------------------------------------------------
@@ -196,31 +187,29 @@ class FiniteFunction:
         return FiniteFunction(self.entries + tuple(pairs))
 
 
-def lookup(finite_fn: FiniteFunction, question, eq: EqFn = operator.eq):
+def lookup(finite_fn: FiniteFunction, question):
     """First-match lookup; returns None when the question is unbound."""
-    return table_oracle(finite_fn.entries, None, eq)(question)
+    return table_oracle(finite_fn.entries, None)(question)
 
 
-def extend_with_default(finite_fn: FiniteFunction, default_answer,
-                        eq: EqFn = operator.eq) -> NameOracle:
+def extend_with_default(finite_fn: FiniteFunction, default_answer) -> NameOracle:
     """Totalize a finite sub-function by answering everything else with a default."""
-    return table_oracle(finite_fn.entries, default_answer, eq)
+    return table_oracle(finite_fn.entries, default_answer)
 
 
-def restriction_eq(phi: NameOracle, psi: NameOracle, questions: Sequence,
-                   answer_eq: EqFn = operator.eq) -> bool:
+def restriction_eq(phi: NameOracle, psi: NameOracle, questions: Sequence) -> bool:
     """Do the two oracles agree on every question in the list?"""
-    return all(answer_eq(phi(q), psi(q)) for q in questions)
+    return all(phi(q) == psi(q) for q in questions)
 
 
-def sublist(part: Sequence, whole: Sequence, eq: EqFn = operator.eq) -> bool:
+def sublist(part: Sequence, whole: Sequence) -> bool:
     """Membership-based inclusion; order and multiplicity are ignored."""
-    return all(any(eq(p, w) for w in whole) for p in part)
+    return all(p in whole for p in part)
 
 
-def list_diff(items: Sequence, remove: Sequence, eq: EqFn = operator.eq) -> list:
+def list_diff(items: Sequence, remove: Sequence) -> list:
     """Elements of ``items`` with no match in ``remove``; order and duplicates kept."""
-    return [x for x in items if not any(eq(x, r) for r in remove)]
+    return [x for x in items if x not in remove]
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +220,12 @@ def constant_oracle(value) -> NameOracle:
     return lambda question: value
 
 
-def table_oracle(table: Sequence, fallback, eq: EqFn = operator.eq) -> NameOracle:
+def table_oracle(table: Sequence, fallback) -> NameOracle:
     """Total oracle backed by a first-match table with a constant fallback."""
-    return override_oracle(lambda question: fallback, table, eq)
+    return override_oracle(lambda question: fallback, table)
 
 
-def override_oracle(base: NameOracle, table: Sequence,
-                    eq: EqFn = operator.eq) -> NameOracle:
+def override_oracle(base: NameOracle, table: Sequence) -> NameOracle:
     """Splice finitely many answers over a base oracle; the first match wins.
 
     This is the first-match scan that every lookup helper above shares.
@@ -246,7 +234,7 @@ def override_oracle(base: NameOracle, table: Sequence,
 
     def oracle(question):
         for bound, answer in entries:
-            if eq(bound, question):
+            if bound == question:
                 return answer
         return base(question)
 
@@ -303,7 +291,6 @@ def oracle_fixture(alphabet_name: str, table: Sequence, fallback) -> dict:
 
 
 def oracle_from_fixture(doc: dict, decode_question: Callable,
-                        decode_answer: Callable,
-                        eq: EqFn = operator.eq) -> NameOracle:
+                        decode_answer: Callable) -> NameOracle:
     table = [(decode_question(q), decode_answer(a)) for q, a in doc["table"]]
-    return table_oracle(table, decode_answer(doc["fallback"]), eq)
+    return table_oracle(table, decode_answer(doc["fallback"]))

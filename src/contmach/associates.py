@@ -9,11 +9,10 @@ with a self-modulating modulus into an associate of its operator.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .alphabets import (EqFn, FiniteFunction, NameOracle, encode_value,
+from .alphabets import (FiniteFunction, NameOracle, encode_value,
                         extend_with_default, list_diff)
 from .machines import ContinuousMachine, _machine_fn, _modulus_fn
 
@@ -53,7 +52,6 @@ def dialogue_machine(associate: AssociateFn, in_space: str = "",
 
 
 def machine_to_associate(machine_like, question_default, answer_default,
-                         question_eq: EqFn = operator.eq,
                          use_first_listed_answer: bool = False) -> AssociateFn:
     """Build an associate of the given machine's operator.
 
@@ -83,11 +81,11 @@ def machine_to_associate(machine_like, question_default, answer_default,
             padding = state.entries[0][1]
         else:
             padding = answer_default
-        padded = extend_with_default(state, padding, question_eq)
+        padded = extend_with_default(state, padding)
         bound = state.questions()
         for effort in range(state.size + 1):
             needed = modulus(padded, effort, question)
-            missing = list_diff(needed, bound, question_eq)
+            missing = list_diff(needed, bound)
             if missing:
                 return Query(tuple(missing))
             value = machine(padded, effort, question)
@@ -120,10 +118,10 @@ class DialogueTranscript:
             return self.rounds[-1].payload
         return None
 
-    def to_json(self, encode: Callable = encode_value) -> dict:
+    def to_json(self) -> dict:
         return {
             "rounds": [{"size": r.size, "tag": r.tag,
-                        "payload": encode(r.payload)} for r in self.rounds],
+                        "payload": encode_value(r.payload)} for r in self.rounds],
             "answered": self.answered,
         }
 

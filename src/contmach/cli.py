@@ -56,16 +56,19 @@ _BUILTINS = {
 }
 
 
-def _emit(doc: dict, fmt: str, output) -> None:
-    if fmt == "json":
+def _emit(parser, args, doc: dict) -> None:
+    if args.format == "json":
         text = json.dumps(doc, indent=2) + "\n"
     else:
         text = "".join(_text_lines(doc))
-    if output is None:
+    if args.output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write output: {exc}")
 
 
 def _text_lines(doc: dict, prefix: str = ""):
@@ -134,13 +137,23 @@ def _parse_value(parser, text: str) -> Fraction:
         parser.error(str(exc))
 
 
-def _require_positive(parser, value: Fraction, flag: str) -> Fraction:
-    if value <= 0:
-        parser.error(f"{flag} must be positive")
-    return value
+def _question(parser, args, space_out):
+    """The question put to a machine whose outputs name points of ``space_out``.
+
+    Rational-real names are asked a positive accuracy ``--eps``; any other
+    output space is asked the natural number ``--index``.
+    """
+    if space_out.name != "rational_reals":
+        return args.index
+    if args.eps is None:
+        parser.error("--eps is required when the output is rational names")
+    eps = _parse_value(parser, args.eps)
+    if eps <= 0:
+        parser.error("--eps must be positive")
+    return eps
 
 
-def _run_evaluation(args, head: dict, machine, value, question) -> int:
+def _run_evaluation(parser, args, head: dict, machine, value, question) -> int:
     """Evaluate ``machine`` on the exact name of ``value`` and emit the trace."""
     result, trace = evaluate_traced(machine, exact_name(value), question,
                                     args.max_effort, args.schedule)
@@ -152,16 +165,17 @@ def _run_evaluation(args, head: dict, machine, value, question) -> int:
         "effort": None if result is None else result.effort,
         "trace": trace,
     }
-    _emit(doc, args.format, args.output)
+    _emit(parser, args, doc)
     return EXIT_OK if result is not None else EXIT_UNDECIDED
 
 
 def _run_invert(parser, args) -> int:
     value = _parse_value(parser, args.value)
-    eps = _require_positive(parser, _parse_value(parser, args.eps), "--eps")
+    machine, _, _, space_out = _BUILTINS["invert"]()
+    eps = _question(parser, args, space_out)
     head = {"command": "invert", "value": format_rational(value),
             "eps": format_rational(eps)}
-    return _run_evaluation(args, head, _BUILTINS["invert"]()[0], value, eps)
+    return _run_evaluation(parser, args, head, machine, value, eps)
 
 
 def _run_sign(parser, args) -> int:
@@ -176,7 +190,7 @@ def _run_sign(parser, args) -> int:
         "max_effort": args.max_effort,
         "prefix": prefix,
     }
-    _emit(doc, args.format, args.output)
+    _emit(parser, args, doc)
     return EXIT_OK
 
 
@@ -198,26 +212,16 @@ def _run_compose(parser, args) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         space_out = next_out
-    if space_out.name == "rational_reals":
-        if args.eps is None:
-            parser.error("--eps is required when the pipeline ends in rational names")
-        question = _require_positive(parser, _parse_value(parser, args.eps), "--eps")
-    else:
-        question = args.index
+    question = _question(parser, args, space_out)
     head = {"command": "compose", "pipeline": "|".join(stage_names),
             "value": format_rational(value), "question": encode_value(question)}
-    return _run_evaluation(args, head, composite, value, question)
+    return _run_evaluation(parser, args, head, composite, value, question)
 
 
 def _run_associate_trace(parser, args) -> int:
     value = _parse_value(parser, args.value)
-    machine, _, space_in, _ = _BUILTINS[args.machine]()
-    if args.machine == "invert":
-        if args.eps is None:
-            parser.error("--eps is required for invert")
-        question = _require_positive(parser, _parse_value(parser, args.eps), "--eps")
-    else:
-        question = args.index
+    machine, _, space_in, space_out = _BUILTINS[args.machine]()
+    question = _question(parser, args, space_out)
     associate = machine_to_associate(machine,
                                      space_in.question_alphabet.default,
                                      space_in.answer_alphabet.default)
@@ -231,7 +235,7 @@ def _run_associate_trace(parser, args) -> int:
         "max_rounds": args.max_rounds,
         "transcript": transcript.to_json(),
     }
-    _emit(doc, args.format, args.output)
+    _emit(parser, args, doc)
     return EXIT_OK if transcript.answered else EXIT_UNDECIDED
 
 
@@ -249,7 +253,7 @@ def _run_check(parser, args) -> int:
         "fuel_cap": args.fuel_cap,
         "report": report.to_json(),
     }
-    _emit(doc, args.format, args.output)
+    _emit(parser, args, doc)
     return EXIT_OK if not report.failures else EXIT_UNDECIDED
 
 

@@ -11,13 +11,11 @@ oracle to every output oracle whose answers all show up at some effort.
 from __future__ import annotations
 
 import functools
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .alphabets import (Alphabet, EqFn, NameOracle, encode_value,
-                        restriction_eq)
+from .alphabets import Alphabet, NameOracle, encode_value, restriction_eq
 
 MachineFn = Callable[[NameOracle, int, object], object]
 ModulusFn = Callable[[NameOracle, int, object], Sequence]
@@ -147,14 +145,14 @@ def _first_answer(machine: MachineFn, phi: NameOracle, question,
 
 
 def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
-                    schedule: str = "linear",
-                    encode: Callable = encode_value):
+                    schedule: str = "linear"):
     """Like evaluate, but also builds the attempt-by-attempt trace record.
 
     The machine is evaluated once, by ``evaluate``; the trace then lists the
     scheduled efforts up to the answering one.  Every earlier attempt is
     silent, since the answer is the first along the schedule, and each
-    attempt shows the modulus list at its effort.
+    attempt shows the modulus list at its effort.  Values and questions are
+    rendered with ``encode_value``.
     """
     result = evaluate(machine_like, phi, question, fuel_cap, schedule)
     modulus = _modulus_fn(machine_like)
@@ -165,22 +163,22 @@ def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
     for effort in efforts:
         answered = result is not None and effort == result.effort
         attempt = {"n": effort,
-                   "result": encode(result.value) if answered else "none"}
+                   "result": encode_value(result.value) if answered else "none"}
         if modulus is not None:
-            attempt["modulus"] = [encode(q) for q in modulus(phi, effort, question)]
+            attempt["modulus"] = [encode_value(q)
+                                  for q in modulus(phi, effort, question)]
         attempts.append(attempt)
     trace = {
         "effort_schedule": schedule,
         "attempts": attempts,
-        "final": None if result is None else encode(result.value),
+        "final": None if result is None else encode_value(result.value),
         "fuel_cap": fuel_cap,
     }
     return result, trace
 
 
 def in_F_M(machine_like, phi: NameOracle, candidate: NameOracle,
-           questions: Sequence, fuel_cap: int,
-           answer_eq: EqFn = operator.eq) -> MembershipResult:
+           questions: Sequence, fuel_cap: int) -> MembershipResult:
     """Test-scale membership of ``candidate`` in the machine's operator at ``phi``.
 
     Holds when every listed question gets the candidate's answer at some
@@ -204,7 +202,7 @@ def in_F_M(machine_like, phi: NameOracle, candidate: NameOracle,
             if value is None:
                 continue
             answered = True
-            if answer_eq(value, wanted):
+            if value == wanted:
                 matched = True
                 break
         if not matched:
@@ -379,9 +377,7 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
 
 def brute_force_min_modulus(machine_like, domain: Sequence,
                             enumeration_bound: int,
-                            question_alphabet: Alphabet,
-                            answer_eq: EqFn = operator.eq,
-                            oracle_answer_eq: EqFn = operator.eq) -> ModulusFn:
+                            question_alphabet: Alphabet) -> ModulusFn:
     """Shortest enumeration prefix certifying the output on an explicit domain.
 
     For each (phi, effort, question) the returned modulus is the shortest
@@ -400,13 +396,13 @@ def brute_force_min_modulus(machine_like, domain: Sequence,
         for segment in prefixes:
             ok = True
             for psi in domain:
-                if not restriction_eq(phi, psi, segment, oracle_answer_eq):
+                if not restriction_eq(phi, psi, segment):
                     continue
                 value = machine(psi, effort, question)
                 if (value is None) != (reference is None):
                     ok = False
                     break
-                if value is not None and not answer_eq(value, reference):
+                if value is not None and value != reference:
                     ok = False
                     break
             if ok:

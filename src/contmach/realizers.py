@@ -133,11 +133,24 @@ def standard_corpus(points: Sequence, kinds: Sequence[str] = ("exact", "grid")):
 
 
 def load_corpus(doc) -> list:
-    """Corpus from a JSON array of {"point": "p/q", "name_kind": …} records."""
+    """Corpus from a JSON array of {"point": "p/q", "name_kind": …} records.
+
+    Raises ValueError when the document is not an array of objects or a
+    ``name_kind`` is not a string.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    return [corpus_sample(parse_rational(entry["point"]), entry["name_kind"])
-            for entry in doc]
+    if not isinstance(doc, list):
+        raise ValueError("corpus must be a JSON array of objects")
+    samples = []
+    for entry in doc:
+        if not isinstance(entry, dict):
+            raise ValueError(f"corpus entry is not an object: {entry!r}")
+        kind = entry["name_kind"]
+        if not isinstance(kind, str):
+            raise ValueError(f"name_kind is not a string: {kind!r}")
+        samples.append(corpus_sample(parse_rational(entry["point"]), kind))
+    return samples
 
 
 #: Nonzero points exercised by the inversion checks (exact and grid names).

@@ -57,10 +57,10 @@ def discrete_space(points: Alphabet) -> RepresentedSpace:
     """One question; the answer is the point itself."""
 
     def is_name(phi: NameOracle, point) -> bool:
-        return points.eq(phi(STAR), point)
+        return phi(STAR) == point
 
     def answer_ok(point, question, answer) -> bool:
-        return points.eq(answer, point)
+        return answer == point
 
     return RepresentedSpace(f"discrete_{points.name}", one_point_alphabet(),
                             points, is_name, answer_ok, (STAR,))

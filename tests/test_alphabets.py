@@ -135,11 +135,38 @@ def test_opt_alphabet():
     alpha = opt_alphabet(booleans_alphabet())
     assert alpha.enumerate(0) is OPT_NONE
     assert alpha.enumerate(1) is False and alpha.enumerate(2) is True
-    assert alpha.eq(OPT_NONE, OPT_NONE)
-    assert not alpha.eq(OPT_NONE, False)
+    assert OPT_NONE == OPT_NONE
+    assert OPT_NONE != False
     assert alpha.index_of(True) == 2
     with pytest.raises(ValueError):
         opt_alphabet(alpha)
+
+
+def _shipped_alphabets():
+    # Each shipped alphabet with how many elements to enumerate: booleans
+    # have two, and the one-point alphabet repeats STAR at every index.
+    base = [(one_point_alphabet(), 64), (booleans_alphabet(), 2),
+            (naturals_alphabet(), 64), (rationals_alphabet(), 64)]
+    sized = (base + [(opt_alphabet(a), min(n + 1, 64)) for a, n in base]
+             + [(pair_alphabet(naturals_alphabet(), rationals_alphabet()), 64)])
+    return [pytest.param(a, n, id=a.name) for a, n in sized]
+
+
+@pytest.mark.parametrize("alpha, size", _shipped_alphabets())
+def test_equality_is_python_eq(alpha, size):
+    # Questions and answers are compared with ==, so == must agree with the
+    # alphabet's own identification of elements by index.
+    elements = alpha.prefix(size)
+    indices = [alpha.index_of(e) for e in elements]
+    for a, i in zip(elements, indices):
+        for b, j in zip(elements, indices):
+            assert (a == b) == (i == j), (a, b)
+
+
+def test_opt_none_equals_only_itself():
+    assert OPT_NONE == OPT_NONE
+    for other in (False, 0, Fraction(0), STAR, None):
+        assert OPT_NONE != other and other != OPT_NONE, other
 
 
 def test_one_point_and_naturals():

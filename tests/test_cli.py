@@ -186,6 +186,31 @@ def test_check_sign_corpus(tmp_path, capsys):
     assert json.loads(out)["report"]["failures"] == []
 
 
+@pytest.mark.parametrize("document", [
+    "[1]",
+    '{"a": 1}',
+    '[{"point": "1", "name_kind": []}]',
+])
+def test_check_rejects_corpus_of_wrong_shape(document, tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(document)
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--machine", "invert", "--corpus", str(corpus)])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.startswith("contmach: error: cannot load corpus")
+
+
+def test_output_in_missing_directory_exits_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as err:
+        main(["invert", "--value", "2", "--eps", "1", "--output", str(target)])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("contmach: error: cannot write output")
+    assert not target.parent.exists()
+
+
 def test_output_file_and_text_format(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, _ = run_cli(capsys, "sign", "--value", "1", "--max-effort", "2",
