@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 NameOracle = Callable[[object], object]
 
@@ -43,14 +43,13 @@ class Alphabet:
     """A countable set with enumeration, decidable equality and a default.
 
     Equality of elements is Python ``==``.  ``enumerate`` must reach every
-    element tests care about; ``index_of`` is the optional inverse and is
-    present for all alphabets shipped here.
+    element tests care about; ``index_of`` is its inverse.
     """
 
     name: str
     enumerate: Callable[[int], object]
     default: object
-    index_of: Optional[Callable[[object], int]] = None
+    index_of: Callable[[object], int]
 
     def prefix(self, count: int) -> list:
         return [self.enumerate(i) for i in range(count)]
@@ -132,10 +131,8 @@ def opt_alphabet(base: Alphabet) -> Alphabet:
     def enum(i: int):
         return OPT_NONE if i == 0 else base.enumerate(i - 1)
 
-    index = None
-    if base.index_of is not None:
-        index = lambda e: 0 if e is OPT_NONE else base.index_of(e) + 1
-    return Alphabet(f"opt_{base.name}", enum, OPT_NONE, index)
+    return Alphabet(f"opt_{base.name}", enum, OPT_NONE,
+                    lambda e: 0 if e is OPT_NONE else base.index_of(e) + 1)
 
 
 def _cantor_pair(x: int, y: int) -> int:
@@ -155,11 +152,9 @@ def pair_alphabet(left: Alphabet, right: Alphabet) -> Alphabet:
         x, y = _cantor_unpair(i)
         return (left.enumerate(x), right.enumerate(y))
 
-    index = None
-    if left.index_of is not None and right.index_of is not None:
-        index = lambda e: _cantor_pair(left.index_of(e[0]), right.index_of(e[1]))
     return Alphabet(f"{left.name}_x_{right.name}", enum,
-                    (left.default, right.default), index)
+                    (left.default, right.default),
+                    lambda e: _cantor_pair(left.index_of(e[0]), right.index_of(e[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +241,16 @@ def override_oracle(base: NameOracle, table: Sequence) -> NameOracle:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or an exact decimal literal; no floating point anywhere."""
+    """Parse "p/q" or an exact decimal literal that ``format_rational`` can print."""
     try:
-        return Fraction(str(text).strip())
+        value = Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational: {text!r}") from exc
+    try:
+        format_rational(value)
+    except ValueError as exc:
+        raise ValueError(f"rational too long to print as p/q: {text!r}") from exc
+    return value
 
 
 def format_rational(value) -> str:

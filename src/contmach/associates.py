@@ -30,15 +30,14 @@ class Answer:
 AssociateFn = Callable[[FiniteFunction, object], Union[Query, Answer]]
 
 
-def dialogue_machine(associate: AssociateFn, in_space: str = "",
-                     out_space: str = "") -> ContinuousMachine:
+def dialogue_machine(associate: AssociateFn) -> ContinuousMachine:
     """The machine that runs the dialogue for as many rounds as it has effort.
 
     At effort n it runs ``dialogue_trace`` for n + 1 rounds and answers
     exactly when the associate commits in them; the modulus is the list of
     questions asked in the first n rounds, which is self-modulating by
     construction (oracles agreeing on those questions replay the same
-    dialogue).
+    dialogue).  It carries no ``in_space``/``out_space`` labels.
     """
 
     def machine(phi, effort, question):
@@ -48,26 +47,22 @@ def dialogue_machine(associate: AssociateFn, in_space: str = "",
         rounds = dialogue_trace(associate, phi, question, effort).rounds
         return [asked for r in rounds if r.tag == "query" for asked in r.payload]
 
-    return ContinuousMachine(machine, modulus, in_space, out_space)
+    return ContinuousMachine(machine, modulus)
 
 
-def machine_to_associate(machine_like, question_default, answer_default,
-                         use_first_listed_answer: bool = False) -> AssociateFn:
+def machine_to_associate(machine_like, question_default, answer_default) -> AssociateFn:
     """Build an associate of the given machine's operator.
 
-    On a transcript of size s, pad the transcript into a total oracle with the
-    default answer, then walk the efforts 0..s.  At each effort the modulus is
-    inspected first: if it lists questions the transcript does not bind, ask
-    for exactly those (the padding may have influenced the machine there, so
-    its value must not be trusted and is not even computed).  Only when the
-    modulus is fully bound is the machine consulted, and its answer — now
-    determined by genuine oracle data — is final.  If every effort up to s is
-    covered but silent, ask the default question: this grows the transcript,
-    which is what buys the next effort level.
-
-    ``use_first_listed_answer`` pads with the first answer recorded in the
-    transcript instead of a fixed default (asking the default question first
-    when the transcript is empty).
+    On a transcript of size s, pad the transcript into a total oracle that
+    answers ``answer_default`` wherever it is unbound, then walk the efforts
+    0..s.  At each effort the modulus is inspected first: if it lists
+    questions the transcript does not bind, ask for exactly those (the
+    padding may have influenced the machine there, so its value must not be
+    trusted and is not even computed).  Only when the modulus is fully bound
+    is the machine consulted, and its answer — now determined by genuine
+    oracle data — is final.  If every effort up to s is covered but silent,
+    ask ``question_default``: this grows the transcript, which is what buys
+    the next effort level.
     """
     machine = _machine_fn(machine_like)
     modulus = _modulus_fn(machine_like)
@@ -75,13 +70,7 @@ def machine_to_associate(machine_like, question_default, answer_default,
         raise ValueError("machine_to_associate needs a machine with a modulus")
 
     def associate(state: FiniteFunction, question):
-        if use_first_listed_answer:
-            if not state.entries:
-                return Query((question_default,))
-            padding = state.entries[0][1]
-        else:
-            padding = answer_default
-        padded = extend_with_default(state, padding)
+        padded = extend_with_default(state, answer_default)
         bound = state.questions()
         for effort in range(state.size + 1):
             needed = modulus(padded, effort, question)
@@ -109,8 +98,13 @@ class DialogueRound:
 
 @dataclass(frozen=True)
 class DialogueTranscript:
+    """The rounds of one dialogue; it answered when its last round is an answer."""
+
     rounds: tuple
-    answered: bool
+
+    @property
+    def answered(self) -> bool:
+        return bool(self.rounds) and self.rounds[-1].tag == "answer"
 
     @property
     def final_answer(self):
@@ -141,6 +135,6 @@ def dialogue_trace(associate: AssociateFn, phi: NameOracle, question,
         step = associate(state, question)
         if isinstance(step, Answer):
             rounds.append(DialogueRound(state.size, "answer", step.value))
-            return DialogueTranscript(tuple(rounds), True)
+            break
         rounds.append(DialogueRound(state.size, "query", list(step.questions)))
-    return DialogueTranscript(tuple(rounds), False)
+    return DialogueTranscript(tuple(rounds))

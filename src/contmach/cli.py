@@ -245,7 +245,15 @@ def _run_check(parser, args) -> int:
             corpus = load_corpus(handle.read())
     except (OSError, ValueError, KeyError) as exc:
         parser.error(f"cannot load corpus: {exc}")
-    report = check_realizer(*_BUILTINS[args.machine](), corpus, args.fuel_cap)
+    machine, point_map, space_in, space_out = _BUILTINS[args.machine]()
+
+    def target(point):
+        try:
+            return point_map(point)
+        except ZeroDivisionError:
+            parser.error(f"point {point} is outside the domain of {args.machine}")
+
+    report = check_realizer(machine, target, space_in, space_out, corpus, args.fuel_cap)
     doc = {
         "command": "check",
         "machine": args.machine,

@@ -128,8 +128,8 @@ def corpus_sample(point, kind: str) -> CorpusSample:
     return CorpusSample(point, _NAME_BUILDERS[kind](point), kind)
 
 
-def standard_corpus(points: Sequence, kinds: Sequence[str] = ("exact", "grid")):
-    return [corpus_sample(p, k) for p in points for k in kinds]
+def standard_corpus(points: Sequence):
+    return [corpus_sample(p, k) for p in points for k in _NAME_BUILDERS]
 
 
 def load_corpus(doc) -> list:

@@ -123,15 +123,15 @@ def kleeneans() -> RepresentedSpace:
     The all-OPT_NONE sequence names bottom, which a finite prefix can only
     confirm up to its length; every sequence names something, and there is no
     per-answer correctness predicate because an entry's meaning depends on
-    the entries before it.
+    the entries before it.  The name check runs ``kleenean_to_bool_machine``
+    over the first ``KLEENEAN_PREFIX`` entries.
     """
+    search = kleenean_to_bool_machine()
 
     def is_name(phi: NameOracle, point: Kleenean) -> bool:
-        for index in range(KLEENEAN_PREFIX):
-            value = phi(index)
-            if value is not OPT_NONE:
-                return point is kleenean_from_bool(value)
-        return point is Kleenean.BOTTOM
+        found = evaluate(search, phi, STAR, KLEENEAN_PREFIX - 1)
+        return point is (Kleenean.BOTTOM if found is None
+                          else kleenean_from_bool(found.value))
 
     return RepresentedSpace(
         "kleeneans", naturals_alphabet(), opt_alphabet(booleans_alphabet()),
@@ -192,31 +192,28 @@ def kleenean_to_bool_machine() -> MonotoneMachine:
 # Precompletion
 
 
-def precompletion(space: RepresentedSpace,
-                  search_bound: int = PRECOMPLETION_SEARCH_BOUND) -> RepresentedSpace:
+def precompletion(space: RepresentedSpace) -> RepresentedSpace:
     """Index the questions by a search stage and make every answer optional.
 
     An oracle names a point when, for each original question, the first
     settled answer along the stages is a valid answer of some name of the
     point.  The name check extracts a name with ``search_translate`` over
-    stages 0..``search_bound`` - 1 and delegates to the underlying space.
+    stages 0..``PRECOMPLETION_SEARCH_BOUND`` - 1 and delegates to the
+    underlying space.
     """
     questions = pair_alphabet(naturals_alphabet(), space.question_alphabet)
     answers = opt_alphabet(space.answer_alphabet)
     translate = search_translate()
 
-    def extract(phi: NameOracle) -> NameOracle:
-        def extracted(question):
-            found = evaluate(translate, phi, question, search_bound - 1)
-            if found is None:
-                raise LookupError(f"no settled answer for {question!r} "
-                                  f"within {search_bound} stages")
-            return found.value
-        return extracted
-
     def is_name(phi: NameOracle, point) -> bool:
+        def extracted(question):
+            found = evaluate(translate, phi, question, PRECOMPLETION_SEARCH_BOUND - 1)
+            if found is None:
+                raise LookupError(f"no settled answer for {question!r}")
+            return found.value
+
         try:
-            return space.is_name(extract(phi), point)
+            return space.is_name(extracted, point)
         except LookupError:
             return False
 

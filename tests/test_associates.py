@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from _families import all_small_oracles, monotone_threshold, ThresholdSpec
+from _families import (all_small_oracles, monotone_threshold,
+                       random_threshold_spec, threshold_machine, ThresholdSpec)
 from contmach import (Answer, ContinuousMachine, FiniteFunction, Query,
                       constant_oracle, dialogue_machine, dialogue_trace,
                       evaluate, exact_name, grid_name, in_F_M,
@@ -208,18 +210,37 @@ def test_associate_query_preserves_modulus_order():
     assert associate(FiniteFunction(((1, 0),)), "q") == Query((3, 2))
 
 
-def test_associate_first_listed_answer_variant():
-    # Padding comes from the transcript's first recorded answer.
-    def machine(phi, effort, question):
-        return phi(1)
+def test_associate_is_unchanged_by_use_first():
+    # The associate walks efforts in order and stops at the first uncovered
+    # modulus or the first answer, so committing to the first answer first
+    # changes no consultation, even of a non-monotone machine.
+    rng = random.Random(6)
+    specs = [random_threshold_spec(rng, allow_dead=True) for _ in range(10)]
+    specs += [ThresholdSpec(1, 2, base=1, spread=2, salt=1, vary=True),
+              ThresholdSpec(0, 1, base=0, spread=3, salt=2, dead_stride=4)]
+    entries = [(q, a) for q in range(3) for a in range(3)]
+    transcripts = [FiniteFunction(c) for n in range(3)
+                   for c in itertools.product(entries, repeat=n)]
+    for spec in specs:
+        cm = threshold_machine(spec)
+        raw = machine_to_associate(cm, 0, 0)
+        first = machine_to_associate(use_first(cm), 0, 0)
+        for state in transcripts:
+            for question in range(3):
+                assert first(state, question) == raw(state, question), (spec, state)
 
-    cm = ContinuousMachine(machine, lambda phi, n, q: [1])
-    associate = machine_to_associate(cm, 0, 99, use_first_listed_answer=True)
-    assert associate(FiniteFunction(), "q") == Query((0,))
-    state = FiniteFunction(((0, 7),))
-    assert associate(state, "q") == Query((1,))
-    state = state.append_pairs(((1, 8),))
-    assert associate(state, "q") == Answer(8)
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(7, 5), Fraction(1, 10 ** 6),
+                               Fraction(-3)])
+def test_inversion_dialogue_is_unchanged_by_use_first(x):
+    # 0 is the slow case: the dialogue never answers, and every consultation
+    # of the use_first associate rescans the efforts below the one it reads.
+    raw = machine_to_associate(inversion_machine(), Fraction(0), Fraction(0))
+    first = machine_to_associate(use_first(inversion_machine()),
+                                 Fraction(0), Fraction(0))
+    for eps in (Fraction(1), Fraction(1, 2 ** 30)):
+        assert (dialogue_trace(first, exact_name(x), eps, 48)
+                == dialogue_trace(raw, exact_name(x), eps, 48))
 
 
 def test_associate_effort_is_bounded_by_transcript_size():
@@ -288,6 +309,10 @@ def test_trace_respects_round_cap():
     doc = trace.to_json()
     assert doc["answered"] is False
     assert [r["size"] for r in doc["rounds"]] == [0, 1, 2, 3, 4]
+    empty = dialogue_trace(constant_answer_associate("a"), constant_oracle(0),
+                           "q", 0)
+    assert empty.rounds == () and not empty.answered
+    assert empty.to_json() == {"rounds": [], "answered": False}
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,35 @@ def test_check_rejects_corpus_of_wrong_shape(document, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("contmach: error: cannot load corpus")
 
 
+def test_check_point_outside_the_domain_exits_one(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{"point": "2", "name_kind": "exact"},
+                                  {"point": "0", "name_kind": "exact"}]))
+    with pytest.raises(SystemExit) as err:
+        main(["check", "--machine", "invert", "--corpus", str(corpus)])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("contmach: error: point 0 is outside the domain "
+                            "of invert\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sign", "--value", "1e-5000", "--max-effort", "2"],
+    ["invert", "--value", "1e-5000", "--eps", "1"],
+    ["invert", "--value", "2", "--eps", "1e-5000"],
+])
+def test_rational_too_long_to_print_exits_one(argv, capsys):
+    # More digits than Python converts to a string by default (4,300).
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("contmach: error: rational too long to print as "
+                            "p/q: '1e-5000'\n")
+
+
 def test_output_in_missing_directory_exits_one(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     with pytest.raises(SystemExit) as err:

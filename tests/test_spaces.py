@@ -9,7 +9,8 @@ from contmach import (Kleenean, OPT_NONE, STAR, booleans_alphabet,
                       monotonize_kleenean_name, override_oracle,
                       precompletion, rational_reals, search_translate,
                       sign_kleenean, table_oracle, use_first)
-from contmach.spaces import KLEENEAN_PREFIX, RATIONAL_NAME_SCALES
+from contmach.spaces import (KLEENEAN_PREFIX, PRECOMPLETION_SEARCH_BOUND,
+                             RATIONAL_NAME_SCALES)
 
 
 def kleenean_name(prefix, tail=OPT_NONE):
@@ -82,6 +83,37 @@ def test_kleenean_names():
     assert space.is_name(name, Kleenean.TRUE)
     assert not space.is_name(name, Kleenean.FALSE)
     assert space.answer_ok is None
+
+
+def reference_kleenean_is_name(phi, point):
+    # The name check as a hand-written loop over the prefix.
+    for index in range(KLEENEAN_PREFIX):
+        value = phi(index)
+        if value is not OPT_NONE:
+            return point is kleenean_from_bool(value)
+    return point is Kleenean.BOTTOM
+
+
+def recorded(phi, asked):
+    def oracle(question):
+        asked.append(question)
+        return phi(question)
+    return oracle
+
+
+def test_kleenean_name_check_matches_hand_written_loop():
+    edge = [OPT_NONE] * (KLEENEAN_PREFIX - 1)
+    prefixes = list(kleenean_prefixes()) + [edge + [True], edge + [OPT_NONE, False]]
+    assert len(prefixes) == 121 + 2
+    space = kleeneans()
+    for prefix in prefixes:
+        name = kleenean_name(prefix)
+        for point in Kleenean:
+            got_asked, want_asked = [], []
+            got = space.is_name(recorded(name, got_asked), point)
+            want = reference_kleenean_is_name(recorded(name, want_asked), point)
+            assert got == want, (prefix, point)
+            assert got_asked == want_asked
 
 
 def test_sign_kleenean_values():
@@ -219,12 +251,10 @@ def test_precompletion_search_bound_is_the_stage_count():
             return base(question) if stage >= first_stage else OPT_NONE
         return staged
 
-    for bound in (1, 2, 5):
-        space = precompletion(rational_reals(), search_bound=bound)
-        assert space.is_name(settled_at(bound - 1), x)
-        assert not space.is_name(settled_at(bound), x)
-    assert not precompletion(rational_reals(), search_bound=0).is_name(
-        settled_at(0), x)
+    assert PRECOMPLETION_SEARCH_BOUND == 64
+    space = precompletion(rational_reals())
+    assert space.is_name(settled_at(63), x)
+    assert not space.is_name(settled_at(64), x)
 
 
 # ---------------------------------------------------------------------------
