@@ -240,22 +240,45 @@ def override_oracle(base: NameOracle, table: Sequence) -> NameOracle:
 # Rational parsing and JSON-friendly value encoding
 
 
+class _RationalTooLong(ValueError):
+    """A rational whose ``p/q`` form has more digits than Python prints.
+
+    The limit is ``sys.get_int_max_str_digits()``, 4,300 by default.
+    """
+
+
+#: Characters of a rejected input that an error message repeats.
+_ECHO_LIMIT = 40
+
+
+def _echo(text) -> str:
+    """``repr(text)`` for an error message; when that is longer than
+    _ECHO_LIMIT characters, its first _ECHO_LIMIT and the input's length."""
+    shown = repr(text)
+    if len(shown) <= _ECHO_LIMIT:
+        return shown
+    return f"{shown[:_ECHO_LIMIT]}... ({len(str(text))} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or an exact decimal literal that ``format_rational`` can print."""
     try:
         value = Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational: {text!r}") from exc
+        raise ValueError(f"malformed rational: {_echo(text)}") from exc
     try:
         format_rational(value)
-    except ValueError as exc:
-        raise ValueError(f"rational too long to print as p/q: {text!r}") from exc
+    except _RationalTooLong as exc:
+        raise ValueError(f"{exc}: {_echo(text)}") from exc
     return value
 
 
 def format_rational(value) -> str:
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise _RationalTooLong("rational too long to print as p/q") from None
 
 
 def encode_value(value):

@@ -12,7 +12,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .alphabets import encode_value, format_rational, parse_rational
+from .alphabets import (_RationalTooLong, encode_value, format_rational,
+                        parse_rational)
 from .associates import dialogue_trace, machine_to_associate
 from .machines import compose_monotone, evaluate_traced, use_first
 from .realizers import (check_realizer, exact_name, inversion_machine,
@@ -46,12 +47,14 @@ def _count(text: str) -> int:
 
 
 #: Built-in machines by name.  An entry builds, in ``check_realizer``'s
-#: argument order, the monotone machine, the point map it realizes and its
-#: input and output spaces, looking the library names up when it runs.
+#: argument order, the raw machine, the point map it realizes and its input
+#: and output spaces, looking the library names up when it runs.  Runs that
+#: evaluate the machine take ``use_first`` of it; its associate is built from
+#: the raw machine, whose dialogues are the same and cheaper to run.
 _BUILTINS = {
-    "invert": lambda: (use_first(inversion_machine()), lambda x: 1 / x,
+    "invert": lambda: (inversion_machine(), lambda x: 1 / x,
                        rational_reals(), rational_reals()),
-    "sign": lambda: (use_first(sign_machine()), sign_kleenean,
+    "sign": lambda: (sign_machine(), sign_kleenean,
                      rational_reals(), kleeneans()),
 }
 
@@ -175,7 +178,7 @@ def _run_invert(parser, args) -> int:
     eps = _question(parser, args, space_out)
     head = {"command": "invert", "value": format_rational(value),
             "eps": format_rational(eps)}
-    return _run_evaluation(parser, args, head, machine, value, eps)
+    return _run_evaluation(parser, args, head, use_first(machine), value, eps)
 
 
 def _run_sign(parser, args) -> int:
@@ -203,9 +206,10 @@ def _run_compose(parser, args) -> int:
     for name in stage_names:
         if name not in _BUILTINS:
             parser.error(f"unknown machine: {name!r}")
-        stages.append(_BUILTINS[name]())
-    composite, space_out = stages[0][0], stages[0][3]
-    for machine, _, _, next_out in stages[1:]:
+        machine, _, _, space_out = _BUILTINS[name]()
+        stages.append((use_first(machine), space_out))
+    composite, space_out = stages[0]
+    for machine, next_out in stages[1:]:
         try:
             composite = compose_monotone(machine, composite,
                                          space_out.answer_alphabet.default)
@@ -253,7 +257,8 @@ def _run_check(parser, args) -> int:
         except ZeroDivisionError:
             parser.error(f"point {point} is outside the domain of {args.machine}")
 
-    report = check_realizer(machine, target, space_in, space_out, corpus, args.fuel_cap)
+    report = check_realizer(use_first(machine), target, space_in, space_out,
+                            corpus, args.fuel_cap)
     doc = {
         "command": "check",
         "machine": args.machine,
@@ -275,7 +280,11 @@ def main(argv=None) -> int:
         "associate-trace": _run_associate_trace,
         "check": _run_check,
     }
-    return runners[args.command](parser, args)
+    try:
+        return runners[args.command](parser, args)
+    except _RationalTooLong as exc:
+        # Inputs are checked when parsed; this is a rational the run derived.
+        parser.error(f"the run derived a {exc}")
 
 
 if __name__ == "__main__":

@@ -65,10 +65,14 @@ class MonotoneMachine(ContinuousMachine):
 class _SettlingMachine(MonotoneMachine):
     """A monotone machine that can settle a question in one pass.
 
-    ``settle(phi, cap)`` returns a function mapping a question to the first
-    effort <= cap at which the machine answers, with that answer, or to None.
-    It keeps no memo: ``compose_monotone`` caches its inner stage's settled
-    answers, the only ones asked for again within one evaluation.
+    ``settle(phi, cap)`` is the settled context of one evaluation: a function
+    mapping a question to its ``_Settled`` record.  The record's ``found`` is
+    the first effort <= cap at which the machine answers, with that answer,
+    or None; its ``modulus(n)`` is the list ``modulus(phi, n, question)`` at
+    any effort n up to the cap, read off the same search under the monotone
+    contract, so a trace of the evaluation needs no second settle.  The
+    context keeps no memo of its own: ``compose_monotone`` caches its inner
+    stage's records, the only ones asked for again within one evaluation.
     """
 
     settle: Callable[[NameOracle, int], Callable] = field(kw_only=True)
@@ -94,6 +98,14 @@ def _modulus_fn(machine_like) -> Optional[ModulusFn]:
 class Evaluation(NamedTuple):
     value: object
     effort: int
+
+
+class _Settled(NamedTuple):
+    """One question of a settled machine: its first answer up to the cap, and
+    ``modulus(n)``, the machine's modulus list at any effort n up to the cap."""
+
+    found: Optional[Evaluation]
+    modulus: Callable[[int], list]
 
 
 class MembershipResult(NamedTuple):
@@ -125,14 +137,28 @@ def evaluate(machine_like, phi: NameOracle, question, fuel_cap: int,
     is reported at the first scheduled effort not below the settled one;
     monotonicity makes that the scan's result.
     """
-    efforts = effort_schedule(fuel_cap, schedule)
+    return _evaluation(machine_like, phi, question,
+                       effort_schedule(fuel_cap, schedule))[0]
+
+
+def _evaluation(machine_like, phi: NameOracle, question, efforts):
+    """``evaluate``'s result along ``efforts``, and the modulus at an effort.
+
+    The second item maps a scheduled effort to the modulus list there, or
+    is None for a machine without a modulus.  A settled machine's lists come
+    from the record of its one settle; any other machine's modulus is called
+    at that effort.
+    """
     settle = getattr(machine_like, "settle", None)
-    if settle is None:
-        return _first_answer(_machine_fn(machine_like), phi, question, efforts)
-    settled = settle(phi, efforts[-1])(question) if efforts else None
-    if settled is None:
-        return None
-    return Evaluation(settled.value, efforts[bisect_left(efforts, settled.effort)])
+    if settle is None or not efforts:
+        modulus = _modulus_fn(machine_like)
+        at = None if modulus is None else (
+            lambda effort: modulus(phi, effort, question))
+        return _first_answer(_machine_fn(machine_like), phi, question, efforts), at
+    found, at = settle(phi, efforts[-1])(question)
+    if found is None:
+        return None, at
+    return Evaluation(found.value, efforts[bisect_left(efforts, found.effort)]), at
 
 
 def _first_answer(machine: MachineFn, phi: NameOracle, question,
@@ -148,25 +174,37 @@ def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
                     schedule: str = "linear"):
     """Like evaluate, but also builds the attempt-by-attempt trace record.
 
-    The machine is evaluated once, by ``evaluate``; the trace then lists the
-    scheduled efforts up to the answering one.  Every earlier attempt is
-    silent, since the answer is the first along the schedule, and each
-    attempt shows the modulus list at its effort.  Values and questions are
-    rendered with ``encode_value``.
+    The machine is evaluated once, as ``evaluate`` does; the trace then
+    lists the scheduled efforts up to the answering one.  Every earlier
+    attempt is silent, since the answer is the first along the schedule,
+    and each attempt shows the modulus list at its effort.  A settled
+    machine's lists are read from its settle's records, so ``use_first``
+    computes each raw modulus once and a composite reuses its stages'
+    records; a machine without a ``settle`` has its modulus called at every
+    attempt.  Values and questions are rendered with ``encode_value``, each
+    question object once per trace.
     """
-    result = evaluate(machine_like, phi, question, fuel_cap, schedule)
-    modulus = _modulus_fn(machine_like)
     efforts = effort_schedule(fuel_cap, schedule)
+    result, modulus = _evaluation(machine_like, phi, question, efforts)
     if result is not None:
         efforts = efforts[:efforts.index(result.effort) + 1]
+    encoded = {}
+
+    def encode(needed):
+        # Keyed by identity; the entry keeps the object alive, so its id is
+        # not reused while the trace is built.
+        entry = encoded.get(id(needed))
+        if entry is None:
+            entry = encoded[id(needed)] = (needed, encode_value(needed))
+        return entry[1]
+
     attempts = []
     for effort in efforts:
         answered = result is not None and effort == result.effort
         attempt = {"n": effort,
                    "result": encode_value(result.value) if answered else "none"}
         if modulus is not None:
-            attempt["modulus"] = [encode_value(q)
-                                  for q in modulus(phi, effort, question)]
+            attempt["modulus"] = [encode(needed) for needed in modulus(effort)]
         attempts.append(attempt)
     trace = {
         "effort_schedule": schedule,
@@ -216,15 +254,21 @@ def in_F_M(machine_like, phi: NameOracle, candidate: NameOracle,
 # Monotonization
 
 
-def _first_answers(machine: MachineFn, phi: NameOracle, cap: int):
-    """First answer per question of ``machine`` on ``phi``, efforts 0..cap."""
-    return lambda question: _first_answer(machine, phi, question, range(cap + 1))
+def _scan_settle(mm: MonotoneMachine, phi: NameOracle, cap: int):
+    """Settled context of a monotone machine without a ``settle`` of its own:
+    a first-answer scan, and its modulus called at the effort asked."""
+
+    def settled(question) -> _Settled:
+        return _Settled(_first_answer(mm.machine, phi, question, range(cap + 1)),
+                        lambda effort: mm.modulus(phi, effort, question))
+
+    return settled
 
 
 def _settle_fn(mm: MonotoneMachine):
-    """``mm``'s own settle, or a first-answer scan of its (monotone) machine."""
+    """``mm``'s own settle, or the scan above."""
     return (getattr(mm, "settle", None)
-            or functools.partial(_first_answers, mm.machine))
+            or functools.partial(_scan_settle, mm))
 
 
 def use_first(machine_like) -> MonotoneMachine:
@@ -237,6 +281,11 @@ def use_first(machine_like) -> MonotoneMachine:
     effort up to and including the first success (duplicates and order kept);
     the underlying machine is probed at an effort only when all earlier
     efforts stayed silent, so nothing is evaluated beyond the first answer.
+
+    Its ``settle`` searches efforts 0..cap once per question.  The record's
+    modulus at effort n is the concatenation above for efforts 0..min(n, f),
+    f the first answering effort (n where there is none up to the cap); it
+    is extended as n grows, so each raw modulus is computed once.
     """
     machine = _machine_fn(machine_like)
     modulus = _modulus_fn(machine_like)
@@ -253,10 +302,26 @@ def use_first(machine_like) -> MonotoneMachine:
         return [needed for step in range(last + 1)
                 for needed in modulus(phi, step, question)]
 
+    def first_settle(phi, cap):
+        def settled(question) -> _Settled:
+            found = _first_answer(machine, phi, question, range(cap + 1))
+            collected, ends = [], []
+
+            def modulus_at(effort):
+                last = effort if found is None else min(effort, found.effort)
+                while len(ends) <= last:
+                    collected.extend(modulus(phi, len(ends), question))
+                    ends.append(len(collected))
+                return collected[:ends[last]]
+
+            return _Settled(found, modulus_at)
+
+        return settled
+
     return _SettlingMachine(first_machine, first_modulus,
                             getattr(machine_like, "in_space", ""),
                             getattr(machine_like, "out_space", ""),
-                            settle=functools.partial(_first_answers, machine))
+                            settle=first_settle)
 
 
 def derive_modulus_machine(machine_like) -> ContinuousMachine:
@@ -304,7 +369,12 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     unanswered or the outer machine is silent, and from there on the padded
     oracle agrees with psi on that list, so self-modulation and monotonicity
     make the outer machine answer as on psi.  Each intermediate question is
-    settled once per evaluation, also through nested composites.
+    settled once per evaluation, also through nested composites.  The
+    record's modulus at effort n pads with the inner records' answers at n
+    (an inner value whose settled effort is at most n, the default
+    otherwise), settles the outer machine on that oracle up to n for its
+    modulus list there, and concatenates the inner records' lists at n for
+    the questions on it.
     """
     if inner.out_space and outer.in_space and inner.out_space != outer.in_space:
         raise ValueError(
@@ -346,23 +416,38 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     def composite_settle(phi, cap):
         inner_settled = functools.cache(settle_inner(phi, cap))
 
-        def psi(question):
-            found = inner_settled(question)
-            return intermediate_default if found is None else found.value
+        def padded_at(effort):
+            # The inner machine's answers at ``effort``, read off its records.
+            def padded(question):
+                found = inner_settled(question).found
+                if found is None or found.effort > effort:
+                    return intermediate_default
+                return found.value
 
+            return padded
+
+        psi = padded_at(cap)
         outer_settled = settle_outer(psi, cap)
 
-        def settled(question) -> Optional[Evaluation]:
-            found = outer_settled(question)
+        def first(question) -> Optional[Evaluation]:
+            found = outer_settled(question).found
             if found is None:
                 return None
             effort = found.effort
             for needed in outer_modulus(psi, found.effort, question):
-                needed_found = inner_settled(needed)
+                needed_found = inner_settled(needed).found
                 if needed_found is None:
                     return None
                 effort = max(effort, needed_found.effort)
             return Evaluation(found.value, effort)
+
+        def settled(question) -> _Settled:
+            def modulus_at(effort):
+                outer_at = settle_outer(padded_at(effort), effort)(question)
+                return [collected for needed in outer_at.modulus(effort)
+                        for collected in inner_settled(needed).modulus(effort)]
+
+            return _Settled(first(question), modulus_at)
 
         return settled
 

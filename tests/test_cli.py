@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from contmach import parse_rational
+import contmach.cli
+from contmach import machine_to_associate, parse_rational, use_first
 from contmach.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -158,6 +159,24 @@ def test_associate_trace_sign(capsys):
     assert doc["transcript"]["rounds"][-1]["payload"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["--machine", "invert", "--value", "0", "--eps", "1/8", "--max-rounds", "24"],
+    ["--machine", "invert", "--value", "7/5", "--eps", "1/1024"],
+    ["--machine", "invert", "--value=-1/1000000", "--eps", "1"],
+    ["--machine", "sign", "--value", "0", "--index", "5", "--max-rounds", "16"],
+    ["--machine", "sign", "--value=-3/1000", "--index", "12"],
+])
+def test_associate_trace_is_unchanged_by_use_first(argv, capsys, monkeypatch):
+    # The CLI builds the associate from the raw machine; through use_first
+    # the transcript is the same, byte for byte.
+    raw = run_cli(capsys, "associate-trace", *argv)
+    monkeypatch.setattr(
+        contmach.cli, "machine_to_associate",
+        lambda machine, *defaults: machine_to_associate(use_first(machine),
+                                                        *defaults))
+    assert run_cli(capsys, "associate-trace", *argv) == raw
+
+
 def test_check_subcommand(tmp_path, capsys):
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps([
@@ -227,6 +246,38 @@ def test_rational_too_long_to_print_exits_one(argv, capsys):
     assert captured.out == ""
     assert captured.err == ("contmach: error: rational too long to print as "
                             "p/q: '1e-5000'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--value", "7/5", "--eps", "1e-4299", "--max-effort", "4"],
+    ["associate-trace", "--machine", "invert", "--value", "7/5",
+     "--eps", "1e-4299"],
+])
+def test_derived_rational_too_long_to_print_exits_one(argv, capsys):
+    # The eps is printable, but the first modulus question,
+    # 1/(125*10^4298), has 4,301 digits.
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("contmach: error: the run derived a rational too "
+                            "long to print as p/q\n")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1" * 5000, "malformed rational: '1111"),
+    (" " * 5000 + "1e-5000", "rational too long to print as p/q: '    "),
+], ids=["malformed", "too-long"])
+def test_rejected_input_echo_is_bounded(value, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["invert", "--value", value, "--eps", "1"])
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("contmach: error: " + message)
+    assert captured.err.endswith(f"... ({len(value)} characters)\n")
+    assert len(captured.err) < 120
 
 
 def test_output_in_missing_directory_exits_one(tmp_path, capsys):

@@ -491,18 +491,10 @@ def only_at_three(phi, effort, question):
     return "a" if effort == 3 else None
 
 
-@pytest.mark.parametrize("machine_like, points", [
-    (only_at_three, (Fraction(0),)),
-    (ContinuousMachine(only_at_three, lambda phi, n, q: [n, q]), (Fraction(0),)),
-    (use_first(inversion_machine()), (Fraction(0), Fraction(7, 5))),
-    # On 0 the chain's per-attempt modulus alone takes seconds at cap 64.
-    (inversion_chain(2), (Fraction(7, 5), Fraction(1, 10 ** 6))),
-])
-@pytest.mark.parametrize("schedule", ["linear", "powers_of_two"])
-def test_evaluate_traced_matches_attempt_loop(machine_like, points, schedule):
+def assert_traced_like_attempt_loop(machine_like, points, caps, schedule):
     for point in points:
         phi = exact_name(point)
-        for cap in (-1, 0, 5, 64):
+        for cap in caps:
             result, trace = evaluate_traced(machine_like, phi, Fraction(1, 8),
                                             cap, schedule)
             expected = traced_by_attempts(machine_like, phi, Fraction(1, 8),
@@ -513,16 +505,79 @@ def test_evaluate_traced_matches_attempt_loop(machine_like, points, schedule):
                        in zip(trace["attempts"], expected[1]["attempts"]))
 
 
+@pytest.mark.parametrize("machine_like, points", [
+    (only_at_three, (Fraction(0),)),
+    (ContinuousMachine(only_at_three, lambda phi, n, q: [n, q]), (Fraction(0),)),
+    (use_first(inversion_machine()), (Fraction(0), Fraction(7, 5))),
+    (inversion_chain(2), (Fraction(7, 5), Fraction(1, 10 ** 6))),
+])
+@pytest.mark.parametrize("schedule", ["linear", "powers_of_two"])
+def test_evaluate_traced_matches_attempt_loop(machine_like, points, schedule):
+    assert_traced_like_attempt_loop(machine_like, points, (-1, 0, 5, 64),
+                                    schedule)
+
+
+@pytest.mark.parametrize("depth, points", [
+    (2, (Fraction(0),)),
+    (3, (Fraction(0), Fraction(7, 5), Fraction(1, 10 ** 6))),
+])
+@pytest.mark.parametrize("schedule", ["linear", "powers_of_two"])
+def test_evaluate_traced_matches_attempt_loop_on_chains(depth, points, schedule):
+    # On 0 the reference's per-attempt composite modulus alone takes seconds
+    # at cap 64.
+    assert_traced_like_attempt_loop(inversion_chain(depth), points,
+                                    (-1, 0, 5, 16), schedule)
+
+
+# The grid name of 0 answers every question like its exact name.
+TRACE_NAMES = [exact_name(Fraction(0))] + corpus_names((Fraction(7, 5),
+                                                         Fraction(1, 10 ** 6)))
+
+
+@pytest.mark.parametrize("mm, question, caps", [
+    (use_first(inversion_machine()), Fraction(1, 8), (-1, 0, 5, 16, 64)),
+    (use_first(sign_machine()), 3, (-1, 0, 5, 16, 64)),
+    (inversion_chain(2), Fraction(1, 8), (-1, 0, 5, 16)),
+    (inversion_chain(3), Fraction(1, 8), (-1, 0, 5, 16)),
+    (compose_monotone(kleenean_to_bool_machine(), use_first(sign_machine()),
+                      OPT_NONE), STAR, (-1, 0, 5, 16, 64)),
+    # A stage without a settle of its own, as either stage.
+    (compose_monotone(use_first(inversion_machine()),
+                      scan_twin(use_first(inversion_machine())), Fraction(0)),
+     Fraction(1, 8), (-1, 0, 5, 16)),
+    (compose_monotone(scan_twin(use_first(inversion_machine())),
+                      use_first(inversion_machine()), Fraction(0)),
+     Fraction(1, 8), (-1, 0, 5, 16)),
+])
+@pytest.mark.parametrize("schedule", ["linear", "powers_of_two"])
+def test_settled_modulus_matches_per_effort_modulus(mm, question, caps, schedule):
+    # The twin has no settle, so its trace calls the per-effort modulus at
+    # every attempt.
+    twin = scan_twin(mm)
+    for phi in TRACE_NAMES:
+        for cap in caps:
+            assert (evaluate_traced(mm, phi, question, cap, schedule)
+                    == evaluate_traced(twin, phi, question, cap, schedule)), cap
+
+
 def test_evaluate_traced_raw_call_count():
-    # One settle (65 raw calls) plus the modulus at each of the 65 attempts,
-    # which probes efforts 0..n-1 at attempt n: 65 + 64 * 65 / 2.
+    # One settle serves the answer and every attempt's modulus: 65 raw calls,
+    # where a second settle for the moduli would make 130.
     calls = [0]
     first = use_first(counting(inversion_machine(), calls))
     result, trace = evaluate_traced(first, exact_name(Fraction(0)),
                                     Fraction(1, 8), 64, "linear")
     assert result is None
     assert len(trace["attempts"]) == 65
-    assert calls == [2145]
+    assert calls == [65]
+
+    calls = [0]
+    result, trace = evaluate_traced(inversion_chain(3, calls),
+                                    exact_name(Fraction(0)), Fraction(1, 8),
+                                    16, "linear")
+    assert result is None
+    assert len(trace["attempts"]) == 17
+    assert calls == [2533]
 
 
 # ---------------------------------------------------------------------------
