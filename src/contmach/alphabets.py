@@ -176,7 +176,9 @@ class FiniteFunction:
         return len(self.entries)
 
     def questions(self) -> tuple:
-        return tuple(q for q, _ in self.entries)
+        # From a list, not a generator: growing a long tuple step by step
+        # churns the allocator and raises the process's resident memory.
+        return tuple([q for q, _ in self.entries])
 
     def append_pairs(self, pairs: Sequence) -> "FiniteFunction":
         return FiniteFunction(self.entries + tuple(pairs))

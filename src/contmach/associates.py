@@ -14,7 +14,8 @@ from typing import Callable, Union
 
 from .alphabets import (FiniteFunction, NameOracle, encode_value,
                         extend_with_default, list_diff)
-from .machines import ContinuousMachine, _machine_fn, _modulus_fn
+from .machines import (Evaluation, MonotoneMachine, _Settled,
+                       _SettlingMachine, _machine_fn, _modulus_fn)
 
 
 @dataclass(frozen=True)
@@ -30,24 +31,45 @@ class Answer:
 AssociateFn = Callable[[FiniteFunction, object], Union[Query, Answer]]
 
 
-def dialogue_machine(associate: AssociateFn) -> ContinuousMachine:
+def dialogue_machine(associate: AssociateFn) -> MonotoneMachine:
     """The machine that runs the dialogue for as many rounds as it has effort.
 
     At effort n it runs ``dialogue_trace`` for n + 1 rounds and answers
     exactly when the associate commits in them; the modulus is the list of
     questions asked in the first n rounds, which is self-modulating by
     construction (oracles agreeing on those questions replay the same
-    dialogue).  It carries no ``in_space``/``out_space`` labels.
+    dialogue).  A dialogue ends at its answer, so the machine is monotone.
+    It carries no ``in_space``/``out_space`` labels.
+
+    Its ``settle(phi, cap)`` runs the dialogue once for cap + 1 rounds:
+    the record's answer is the last round's, at effort len(rounds) - 1, and
+    its modulus at n lists the questions of the first n rounds.  Evaluating
+    it therefore consults the associate once per round, not once per round
+    at every effort.
     """
 
     def machine(phi, effort, question):
         return dialogue_trace(associate, phi, question, effort + 1).final_answer
 
     def modulus(phi, effort, question):
-        rounds = dialogue_trace(associate, phi, question, effort).rounds
-        return [asked for r in rounds if r.tag == "query" for asked in r.payload]
+        return _questions(dialogue_trace(associate, phi, question, effort).rounds)
 
-    return ContinuousMachine(machine, modulus)
+    def settle(phi, cap):
+        def settled(question) -> _Settled:
+            transcript = dialogue_trace(associate, phi, question, cap + 1)
+            found = (Evaluation(transcript.final_answer, len(transcript.rounds) - 1)
+                     if transcript.answered else None)
+            return _Settled(found,
+                            lambda effort: _questions(transcript.rounds[:effort]))
+
+        return settled
+
+    return _SettlingMachine(machine, modulus, settle=settle)
+
+
+def _questions(rounds) -> list:
+    """The questions asked in ``rounds``, in order."""
+    return [asked for r in rounds if r.tag == "query" for asked in r.payload]
 
 
 def machine_to_associate(machine_like, question_default, answer_default) -> AssociateFn:
@@ -63,7 +85,13 @@ def machine_to_associate(machine_like, question_default, answer_default) -> Asso
     oracle data — is final.  If every effort up to s is covered but silent,
     ask ``question_default``: this grows the transcript, which is what buys
     the next effort level.
+
+    The associate of ``use_first(m)`` walks ``m``: the walk stops at the
+    first uncovered modulus or answer, which committing to the first answer
+    does not move, so every consultation is the same, and reading effort E
+    takes ~E raw calls instead of a rescan of efforts 0..e at each e.
     """
+    machine_like = getattr(machine_like, "_first_of", None) or machine_like
     machine = _machine_fn(machine_like)
     modulus = _modulus_fn(machine_like)
     if modulus is None:

@@ -50,7 +50,8 @@ def _count(text: str) -> int:
 #: argument order, the raw machine, the point map it realizes and its input
 #: and output spaces, looking the library names up when it runs.  Runs that
 #: evaluate the machine take ``use_first`` of it; its associate is built from
-#: the raw machine, whose dialogues are the same and cheaper to run.
+#: the raw machine, which ``machine_to_associate`` would walk for the
+#: ``use_first`` machine as well.
 _BUILTINS = {
     "invert": lambda: (inversion_machine(), lambda x: 1 / x,
                        rational_reals(), rational_reals()),

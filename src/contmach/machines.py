@@ -49,15 +49,16 @@ class MonotoneMachine(ContinuousMachine):
     once ``machine(phi, n, q)`` answers, every effort above ``n`` repeats the
     same answer and the modulus list stays equal to its value at ``n``.
 
-    The machines ``use_first`` and ``compose_monotone`` build also carry a
-    ``settle`` that ``evaluate`` uses to find the first answering effort in
-    one pass instead of re-running the machine at every scheduled effort.
-    Its result equals the per-effort scan only when this contract holds:
-    monotonicity as above, a self-modulating modulus (oracles agreeing on
-    ``modulus(phi, n, q)`` give equal outputs and equal modulus lists), names
-    that are pure functions, and, inside compositions (which cache each
-    intermediate question's settled answer), hashable intermediate questions
-    that machines treat alike whenever they compare equal.
+    The machines ``use_first``, ``compose_monotone`` and ``dialogue_machine``
+    build also carry a ``settle`` that ``evaluate`` uses to find the first
+    answering effort in one pass instead of re-running the machine at every
+    scheduled effort.  Its result equals the per-effort scan only when this
+    contract holds: monotonicity as above, a self-modulating modulus
+    (oracles agreeing on ``modulus(phi, n, q)`` give equal outputs and equal
+    modulus lists), names that are pure functions, and, inside compositions
+    (which cache each intermediate question's settled answer), hashable
+    intermediate questions that machines treat alike whenever they compare
+    equal.
     """
 
 
@@ -73,9 +74,14 @@ class _SettlingMachine(MonotoneMachine):
     contract, so a trace of the evaluation needs no second settle.  The
     context keeps no memo of its own: ``compose_monotone`` caches its inner
     stage's records, the only ones asked for again within one evaluation.
+
+    ``_first_of`` is set on the machines ``use_first`` builds: the machine
+    it monotonized, the innermost one when ``use_first`` is nested.
+    ``machine_to_associate`` walks it instead, with identical consultations.
     """
 
     settle: Callable[[NameOracle, int], Callable] = field(kw_only=True)
+    _first_of: Optional[ContinuousMachine] = field(default=None, kw_only=True)
 
 
 def monotone_machine(machine: MachineFn, modulus: ModulusFn,
@@ -286,6 +292,10 @@ def use_first(machine_like) -> MonotoneMachine:
     modulus at effort n is the concatenation above for efforts 0..min(n, f),
     f the first answering effort (n where there is none up to the cap); it
     is extended as n grows, so each raw modulus is computed once.
+
+    The returned machine also records the machine it monotonized (the
+    innermost one when ``use_first`` is nested); ``machine_to_associate``
+    walks that machine instead, with the same consultations.
     """
     machine = _machine_fn(machine_like)
     modulus = _modulus_fn(machine_like)
@@ -321,7 +331,9 @@ def use_first(machine_like) -> MonotoneMachine:
     return _SettlingMachine(first_machine, first_modulus,
                             getattr(machine_like, "in_space", ""),
                             getattr(machine_like, "out_space", ""),
-                            settle=first_settle)
+                            settle=first_settle,
+                            _first_of=getattr(machine_like, "_first_of", None)
+                            or machine_like)
 
 
 def derive_modulus_machine(machine_like) -> ContinuousMachine:
@@ -430,11 +442,12 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
         outer_settled = settle_outer(psi, cap)
 
         def first(question) -> Optional[Evaluation]:
-            found = outer_settled(question).found
+            record = outer_settled(question)
+            found = record.found
             if found is None:
                 return None
             effort = found.effort
-            for needed in outer_modulus(psi, found.effort, question):
+            for needed in record.modulus(found.effort):
                 needed_found = inner_settled(needed).found
                 if needed_found is None:
                     return None

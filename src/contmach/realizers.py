@@ -31,9 +31,11 @@ def inversion_machine() -> ContinuousMachine:
     properly multivalued: different efforts may return different answers.
 
     On any name of a nonzero real the queried approximation is at least
-    delta/2 away from zero, so the division is safe; a zero denominator can
-    only come from an oracle that is not a name of a nonzero real and
-    surfaces as a ZeroDivisionError.
+    delta/2 away from zero, so the division is safe.  Only an oracle that is
+    not a name of a nonzero real can answer 0 there, such as the padding an
+    associate's modulus walk puts behind a composite; the machine stays
+    silent then, and its modulus still lists both questions, so it still
+    modulates itself.
     """
 
     def query_point(phi, effort, accuracy):
@@ -47,7 +49,8 @@ def inversion_machine() -> ContinuousMachine:
         _, point = query_point(phi, effort, accuracy)
         if point is None:
             return None
-        return 1 / Fraction(phi(point))
+        approximation = Fraction(phi(point))
+        return None if approximation == 0 else 1 / approximation
 
     def modulus(phi, effort, accuracy):
         scale, point = query_point(phi, effort, accuracy)

@@ -1,4 +1,5 @@
-"""Reproducible machine families shared across the test modules."""
+"""Reproducible machine families, and the per-effort trace reference, shared
+across the test modules."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from contmach import ContinuousMachine, MonotoneMachine, STAR, monotone_machine
+from contmach import (ContinuousMachine, MonotoneMachine, STAR, effort_schedule,
+                      encode_value, monotone_machine)
 
 
 # ---------------------------------------------------------------------------
@@ -139,3 +141,30 @@ def table_machine(index: int):
 
 def two_point_oracles():
     return [small_oracle(t) for t in itertools.product((0, 1), repeat=2)]
+
+
+# ---------------------------------------------------------------------------
+# Per-effort reference for evaluate_traced
+
+
+def traced_by_attempts(machine_like, phi, question, fuel_cap, schedule):
+    # Reference: run the machine at every scheduled effort until it answers.
+    machine = getattr(machine_like, "machine", machine_like)
+    modulus = getattr(machine_like, "modulus", None)
+    attempts = []
+    result = None
+    for effort in effort_schedule(fuel_cap, schedule):
+        value = machine(phi, effort, question)
+        attempt = {"n": effort,
+                   "result": "none" if value is None else encode_value(value)}
+        if modulus is not None:
+            attempt["modulus"] = [encode_value(q)
+                                  for q in modulus(phi, effort, question)]
+        attempts.append(attempt)
+        if value is not None:
+            result = (value, effort)
+            break
+    trace = {"effort_schedule": schedule, "attempts": attempts,
+             "final": None if result is None else encode_value(result[0]),
+             "fuel_cap": fuel_cap}
+    return result, trace

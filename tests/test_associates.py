@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from _families import (all_small_oracles, monotone_threshold,
-                       random_threshold_spec, threshold_machine, ThresholdSpec)
+                       random_threshold_spec, threshold_machine, ThresholdSpec,
+                       traced_by_attempts)
 from contmach import (Answer, ContinuousMachine, FiniteFunction, Query,
-                      constant_oracle, dialogue_machine, dialogue_trace,
-                      evaluate, exact_name, grid_name, in_F_M,
-                      inversion_machine, lookup, machine_to_associate,
-                      override_oracle, sign_machine, use_first)
+                      compose_monotone, constant_oracle, dialogue_machine,
+                      dialogue_trace, evaluate, evaluate_traced, exact_name,
+                      grid_name, in_F_M, inversion_machine, lookup,
+                      machine_to_associate, monotone_machine, override_oracle,
+                      sign_machine, use_first)
 
 
 def constant_answer_associate(value):
@@ -118,17 +120,20 @@ def run_counted(make_fns, associate, phi, effort, question):
     return values, consulted[0], queried[0]
 
 
+def dialogue_cases():
+    inverse = machine_to_associate(use_first(inversion_machine()),
+                                   Fraction(0), Fraction(0))
+    return [(constant_answer_associate("a"), constant_oracle(0), "q"),
+            (head_associate("q0"), constant_oracle(42), "q"),
+            (divergent_associate("q0"), constant_oracle(3), "q"),
+            (inverse, exact_name(Fraction(2)), Fraction(1)),
+            (inverse, exact_name(Fraction(0)), Fraction(1, 8))]
+
+
 def test_dialogue_machine_matches_replayed_dialogue():
     # Equal values and modulus lists, never more associate consultations or
     # oracle queries than the replayed reference.
-    inverse = machine_to_associate(use_first(inversion_machine()),
-                                   Fraction(0), Fraction(0))
-    cases = [(constant_answer_associate("a"), constant_oracle(0), "q"),
-             (head_associate("q0"), constant_oracle(42), "q"),
-             (divergent_associate("q0"), constant_oracle(3), "q"),
-             (inverse, exact_name(Fraction(2)), Fraction(1)),
-             (inverse, exact_name(Fraction(0)), Fraction(1, 8))]
-    for associate, phi, question in cases:
+    for associate, phi, question in dialogue_cases():
         for effort in range(6):
             got, got_consulted, got_queried = run_counted(
                 dialogue_fns, associate, phi, effort, question)
@@ -137,6 +142,49 @@ def test_dialogue_machine_matches_replayed_dialogue():
             assert got == want, (question, effort)
             assert got_consulted <= want_consulted
             assert got_queried <= want_queried
+
+
+def counted_run(run, associate, phi):
+    # run(dialogue machine, oracle), associate consultations, oracle queries.
+    consulted, queried = [0], [0]
+    cm = dialogue_machine(counting_calls(associate, consulted))
+    return run(cm, counting_calls(phi, queried)), consulted[0], queried[0]
+
+
+@pytest.mark.parametrize("schedule", ["linear", "powers_of_two"])
+def test_dialogue_machine_settle_matches_per_effort_scan(schedule):
+    # evaluate and evaluate_traced settle the dialogue in one pass; the
+    # references call the per-effort machine and modulus at every attempt.
+    for associate, phi, question in dialogue_cases():
+        for cap in (-1, 0, 5, 64):
+            pairs = [
+                (lambda cm, oracle: evaluate(cm, oracle, question, cap, schedule),
+                 lambda cm, oracle: evaluate(
+                     monotone_machine(cm.machine, cm.modulus), oracle,
+                     question, cap, schedule)),
+                (lambda cm, oracle: evaluate_traced(cm, oracle, question, cap,
+                                                    schedule),
+                 lambda cm, oracle: traced_by_attempts(cm, oracle, question,
+                                                       cap, schedule)),
+            ]
+            for settled, scanned in pairs:
+                got, got_consulted, got_queried = counted_run(
+                    settled, associate, phi)
+                want, want_consulted, want_queried = counted_run(
+                    scanned, associate, phi)
+                assert got == want, (question, cap)
+                assert got_consulted <= want_consulted
+                assert got_queried <= want_queried
+
+
+def test_round_trip_consults_once_per_round():
+    calls = [0]
+    associate = machine_to_associate(use_first(inversion_machine()),
+                                     Fraction(0), Fraction(0))
+    rebuilt = dialogue_machine(counting_calls(associate, calls))
+    result = evaluate(rebuilt, exact_name(Fraction(0)), Fraction(1, 8), 64)
+    assert result is None
+    assert calls == [65]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +261,9 @@ def test_associate_query_preserves_modulus_order():
 def test_associate_is_unchanged_by_use_first():
     # The associate walks efforts in order and stops at the first uncovered
     # modulus or the first answer, so committing to the first answer first
-    # changes no consultation, even of a non-monotone machine.
+    # changes no consultation, even of a non-monotone machine.  That is why
+    # the associate of use_first(cm) may walk cm; the third associate walks
+    # use_first's own functions.
     rng = random.Random(6)
     specs = [random_threshold_spec(rng, allow_dead=True) for _ in range(10)]
     specs += [ThresholdSpec(1, 2, base=1, spread=2, salt=1, vary=True),
@@ -224,23 +274,98 @@ def test_associate_is_unchanged_by_use_first():
     for spec in specs:
         cm = threshold_machine(spec)
         raw = machine_to_associate(cm, 0, 0)
-        first = machine_to_associate(use_first(cm), 0, 0)
+        mm = use_first(cm)
+        first = machine_to_associate(mm, 0, 0)
+        scanned = machine_to_associate(monotone_machine(mm.machine, mm.modulus),
+                                       0, 0)
         for state in transcripts:
             for question in range(3):
-                assert first(state, question) == raw(state, question), (spec, state)
+                want = raw(state, question)
+                assert first(state, question) == want, (spec, state)
+                assert scanned(state, question) == want, (spec, state)
 
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(7, 5), Fraction(1, 10 ** 6),
                                Fraction(-3)])
 def test_inversion_dialogue_is_unchanged_by_use_first(x):
-    # 0 is the slow case: the dialogue never answers, and every consultation
-    # of the use_first associate rescans the efforts below the one it reads.
+    # On 0 the dialogue never answers and runs all 48 rounds; the use_first
+    # associate walks the raw machine, so both build the same transcript.
     raw = machine_to_associate(inversion_machine(), Fraction(0), Fraction(0))
     first = machine_to_associate(use_first(inversion_machine()),
                                  Fraction(0), Fraction(0))
     for eps in (Fraction(1), Fraction(1, 2 ** 30)):
         assert (dialogue_trace(first, exact_name(x), eps, 48)
                 == dialogue_trace(raw, exact_name(x), eps, 48))
+
+
+def counting_machine(cm, calls):
+    # calls[0] counts raw machine calls, calls[1] raw modulus calls.
+    def machine(phi, effort, question):
+        calls[0] += 1
+        return cm.machine(phi, effort, question)
+
+    def modulus(phi, effort, question):
+        calls[1] += 1
+        return cm.modulus(phi, effort, question)
+
+    return ContinuousMachine(machine, modulus, cm.in_space, cm.out_space)
+
+
+def test_associate_of_use_first_makes_the_raw_calls_of_the_raw_machine():
+    # Each consultation reads effort E in ~E raw calls; rescanning efforts
+    # 0..e through use_first at every e made 10,912 machine and 5,984
+    # modulus calls here.
+    for wrap in (lambda cm: cm, use_first, lambda cm: use_first(use_first(cm))):
+        calls = [0, 0]
+        associate = machine_to_associate(
+            wrap(counting_machine(inversion_machine(), calls)),
+            Fraction(0), Fraction(0))
+        trace = dialogue_trace(associate, exact_name(Fraction(0)),
+                               Fraction(1, 8), 32)
+        assert not trace.answered and len(trace.rounds) == 32
+        assert calls == [496, 528]
+
+
+PADDING = object()
+
+
+def padding_guard():
+    # Raises when its machine runs at an effort whose modulus lists a
+    # question the transcript does not bind (the padded oracle answers
+    # PADDING there).  It answers from effort 3 on.
+    def modulus(phi, effort, question):
+        return list(range(effort + 1))
+
+    def machine(phi, effort, question):
+        read = [phi(needed) for needed in modulus(phi, effort, question)]
+        if PADDING in read:
+            raise AssertionError(f"machine read the padding at effort {effort}")
+        return read[-1] if effort >= 3 else None
+
+    return ContinuousMachine(machine, modulus)
+
+
+def test_associate_never_runs_the_machine_on_the_padding():
+    phi = lambda question: question * 10
+    for mm in (padding_guard(), use_first(padding_guard()),
+               use_first(use_first(padding_guard()))):
+        associate = machine_to_associate(mm, 0, PADDING)
+        trace = dialogue_trace(associate, phi, "q", 16)
+        assert trace.answered and trace.final_answer == 30
+        assert [r.payload for r in trace.rounds[:-1]] == [[0], [1], [2], [3]]
+
+
+@pytest.mark.parametrize("x", [Fraction(7, 5), Fraction(-3)])
+def test_associate_of_inversion_composite(x):
+    # The composite's modulus runs the inner inversion on the padded
+    # transcript, where its follow-up approximation is the padding 0; the
+    # inversion stays silent there instead of dividing by 0.
+    composite = compose_monotone(use_first(inversion_machine()),
+                                 use_first(inversion_machine()), Fraction(0))
+    associate = machine_to_associate(composite, Fraction(0), Fraction(0))
+    trace = dialogue_trace(associate, exact_name(x), Fraction(1, 8), 24)
+    assert trace.answered and trace.final_answer == x
+    assert len(trace.rounds) == 5
 
 
 def test_associate_effort_is_bounded_by_transcript_size():

@@ -6,12 +6,13 @@ import pytest
 from _families import (all_small_oracles, failure_example,
                        last_element_modulus, monotone_threshold,
                        random_threshold_spec, small_oracle, table_machine,
-                       threshold_machine, ThresholdSpec, two_point_oracles)
+                       threshold_machine, ThresholdSpec, traced_by_attempts,
+                       two_point_oracles)
 from contmach import (INVERSION_POINTS, OPT_NONE, SIGN_POINTS,
                       ContinuousMachine, ModulusSearchError, STAR,
                       brute_force_min_modulus, compose_monotone,
                       constant_oracle, derive_modulus_machine,
-                      effort_schedule, encode_value, evaluate,
+                      effort_schedule, evaluate,
                       evaluate_traced, exact_name,
                       grid_name, in_F_M, inversion_machine,
                       kleenean_to_bool_machine, monotone_machine,
@@ -450,8 +451,10 @@ def test_settle_raw_call_counts():
                       Fraction(1, 2 ** 30), 2 ** 20, "powers_of_two")
     assert result is not None
     assert calls[0] < 1000
-    # Exact counts: an intermediate question settled twice would raise them.
-    for depth, expected in ((2, 43), (3, 147), (4, 211)):
+    # Exact counts: an intermediate question settled twice would raise them,
+    # and so would a composite's first answer scanning the outer stage again
+    # instead of reading the modulus off its record.
+    for depth, expected in ((2, 43), (3, 127), (4, 171)):
         calls = [0]
         assert evaluate(inversion_chain(depth, calls),
                         exact_name(Fraction(1, 10 ** 6)), Fraction(1, 2 ** 30),
@@ -461,29 +464,6 @@ def test_settle_raw_call_counts():
 
 # ---------------------------------------------------------------------------
 # evaluate_traced renders evaluate's result
-
-
-def traced_by_attempts(machine_like, phi, question, fuel_cap, schedule):
-    # Reference: run the machine at every scheduled effort until it answers.
-    machine = getattr(machine_like, "machine", machine_like)
-    modulus = getattr(machine_like, "modulus", None)
-    attempts = []
-    result = None
-    for effort in effort_schedule(fuel_cap, schedule):
-        value = machine(phi, effort, question)
-        attempt = {"n": effort,
-                   "result": "none" if value is None else encode_value(value)}
-        if modulus is not None:
-            attempt["modulus"] = [encode_value(q)
-                                  for q in modulus(phi, effort, question)]
-        attempts.append(attempt)
-        if value is not None:
-            result = (value, effort)
-            break
-    trace = {"effort_schedule": schedule, "attempts": attempts,
-             "final": None if result is None else encode_value(result[0]),
-             "fuel_cap": fuel_cap}
-    return result, trace
 
 
 def only_at_three(phi, effort, question):

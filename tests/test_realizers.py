@@ -2,8 +2,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from contmach import (FiniteMultifunction, INVERSION_POINTS, OPT_NONE,
                       SIGN_POINTS, check_realizer, chooses_through,
                       constant_oracle, corpus_sample, exact_name, grid_name,
@@ -58,10 +56,11 @@ def test_inversion_is_properly_multivalued():
 def test_inversion_zero_denominator_surfaces():
     cm = inversion_machine()
     # Not a name of a nonzero real: claims margin but answers 0 at the
-    # follow-up query.
+    # follow-up query.  The machine stays silent instead of dividing by 0,
+    # and its modulus still lists both questions.
     broken = override_oracle(constant_oracle(Fraction(0)), [(Fraction(1), Fraction(2))])
-    with pytest.raises(ZeroDivisionError):
-        cm.machine(broken, 0, Fraction(1))
+    assert cm.machine(broken, 0, Fraction(1)) is None
+    assert cm.modulus(broken, 0, Fraction(1)) == [Fraction(1), Fraction(1, 2)]
 
 
 def test_inversion_modulus_soundness_and_self_modulation():

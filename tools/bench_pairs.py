@@ -22,6 +22,9 @@ within the bound cannot be told from noise, and not every run of the change
 reads better than every run of the parent.  The seeds, the run order, the Python version and
 the load average before each run are recorded beside them.  Standard
 library only.
+
+It exits 1, after writing the file, when any run reports a wrong result,
+and names each such run's workload, side and seed on stderr.
 """
 
 from __future__ import annotations
@@ -114,6 +117,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(), "cpu_count": os.cpu_count(),
         "workloads": {},
     }
+    wrong = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_dir = Path(tmp)
         unpack(base, parent_dir)
@@ -126,6 +130,8 @@ def main(argv=None) -> int:
                     loads.append(os.getloadavg()[0])
                     checkout = parent_dir if side == "parent" else ROOT
                     runs[side].append(run_once(checkout, workload, seed, seconds))
+                    if not runs[side][-1]["correct"]:
+                        wrong.append(f"{workload} {side} seed {seed}")
                     print(f"{workload} seed {seed} {side}: ops_per_s "
                           f"{runs[side][-1]['metrics']['ops_per_s']:.4g}",
                           file=sys.stderr)
@@ -142,7 +148,9 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
-    return 0
+    for run in wrong:
+        print(f"wrong result: {run}", file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
