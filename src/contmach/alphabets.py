@@ -11,6 +11,8 @@ decidable equality the paper assumes of every alphabet.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -262,16 +264,49 @@ def _echo(text) -> str:
     return f"{shown[:_ECHO_LIMIT]}... ({len(str(text))} characters)"
 
 
+#: A decimal literal with an exponent, in a form ``Fraction`` accepts:
+#: mantissa digits before and after the point, and the exponent.
+_EXPONENT_LITERAL = re.compile(
+    r"[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d+(?:_\d+)*)?)?"
+    r"e([-+]?\d+(?:_\d+)*)", re.IGNORECASE)
+
+
+def _exponent_value(literal: str):
+    """The value of a decimal literal that its exponent alone settles, else None.
+
+    ``Fraction`` builds the power of ten before any length check can run, so
+    ``1e99999999`` would take minutes.  A mantissa of all zeros reads as 0.
+    An exponent whose magnitude exceeds ``sys.get_int_max_str_digits()``
+    plus the mantissa's digit count gives ``p`` or ``q`` more digits than
+    that limit, so it raises ``_RationalTooLong``; a limit of 0 is unlimited.
+    """
+    match = _EXPONENT_LITERAL.fullmatch(literal)
+    if match is None:
+        return None
+    whole, fraction, exponent = match.groups()
+    digits = (whole + (fraction or "")).replace("_", "")
+    if not digits.strip("0"):
+        return Fraction(0)
+    limit = sys.get_int_max_str_digits()
+    bound = limit + len(digits)
+    magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0") or "0"
+    if limit and (len(magnitude) > len(str(bound)) or int(magnitude) > bound):
+        raise _RationalTooLong("rational too long to print as p/q")
+    return None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or an exact decimal literal that ``format_rational`` can print."""
+    literal = str(text).strip()
     try:
-        value = Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational: {_echo(text)}") from exc
-    try:
+        value = _exponent_value(literal)
+        if value is None:
+            value = Fraction(literal)
         format_rational(value)
     except _RationalTooLong as exc:
         raise ValueError(f"{exc}: {_echo(text)}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed rational: {_echo(text)}") from exc
     return value
 
 

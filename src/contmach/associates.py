@@ -44,8 +44,7 @@ def dialogue_machine(associate: AssociateFn) -> MonotoneMachine:
     Its ``settle(phi, cap)`` runs the dialogue once for cap + 1 rounds:
     the record's answer is the last round's, at effort len(rounds) - 1, and
     its modulus at n lists the questions of the first n rounds.  Evaluating
-    it therefore consults the associate once per round, not once per round
-    at every effort.
+    it therefore consults the associate once per round.
     """
 
     def machine(phi, effort, question):
@@ -89,7 +88,7 @@ def machine_to_associate(machine_like, question_default, answer_default) -> Asso
     The associate of ``use_first(m)`` walks ``m``: the walk stops at the
     first uncovered modulus or answer, which committing to the first answer
     does not move, so every consultation is the same, and reading effort E
-    takes ~E raw calls instead of a rescan of efforts 0..e at each e.
+    takes ~E raw calls.
     """
     machine_like = getattr(machine_like, "_first_of", None) or machine_like
     machine = _machine_fn(machine_like)

@@ -152,19 +152,15 @@ def _evaluation(machine_like, phi: NameOracle, question, efforts):
 
     The second item maps a scheduled effort to the modulus list there, or
     is None for a machine without a modulus.  A settled machine's lists come
-    from the record of its one settle; any other machine's modulus is called
-    at that effort.
+    from the record of its one settle; any other machine is scanned.
     """
     settle = getattr(machine_like, "settle", None)
     if settle is None or not efforts:
-        modulus = _modulus_fn(machine_like)
-        at = None if modulus is None else (
-            lambda effort: modulus(phi, effort, question))
-        return _first_answer(_machine_fn(machine_like), phi, question, efforts), at
+        return _scan_settle(machine_like, phi, efforts, question)
     found, at = settle(phi, efforts[-1])(question)
-    if found is None:
-        return None, at
-    return Evaluation(found.value, efforts[bisect_left(efforts, found.effort)]), at
+    if found is not None:
+        found = Evaluation(found.value, efforts[bisect_left(efforts, found.effort)])
+    return found, at
 
 
 def _first_answer(machine: MachineFn, phi: NameOracle, question,
@@ -174,6 +170,23 @@ def _first_answer(machine: MachineFn, phi: NameOracle, question,
         if value is not None:
             return Evaluation(value, effort)
     return None
+
+
+def _scan_settle(machine_like, phi: NameOracle, efforts, question) -> _Settled:
+    """The record of a question for any machine without a ``settle`` of its
+    own: ``found`` is the first answer along ``efforts``, and ``modulus``
+    calls the machine's modulus at the effort asked, or is None for a bare
+    callable."""
+    modulus = _modulus_fn(machine_like)
+    return _Settled(_first_answer(_machine_fn(machine_like), phi, question, efforts),
+                    None if modulus is None
+                    else lambda effort: modulus(phi, effort, question))
+
+
+def _settle_fn(mm: MonotoneMachine):
+    """``mm``'s own settle, or the scan above along efforts 0..cap."""
+    return getattr(mm, "settle", None) or (
+        lambda phi, cap: functools.partial(_scan_settle, mm, phi, range(cap + 1)))
 
 
 def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
@@ -258,23 +271,6 @@ def in_F_M(machine_like, phi: NameOracle, candidate: NameOracle,
 
 # ---------------------------------------------------------------------------
 # Monotonization
-
-
-def _scan_settle(mm: MonotoneMachine, phi: NameOracle, cap: int):
-    """Settled context of a monotone machine without a ``settle`` of its own:
-    a first-answer scan, and its modulus called at the effort asked."""
-
-    def settled(question) -> _Settled:
-        return _Settled(_first_answer(mm.machine, phi, question, range(cap + 1)),
-                        lambda effort: mm.modulus(phi, effort, question))
-
-    return settled
-
-
-def _settle_fn(mm: MonotoneMachine):
-    """``mm``'s own settle, or the scan above."""
-    return (getattr(mm, "settle", None)
-            or functools.partial(_scan_settle, mm))
 
 
 def use_first(machine_like) -> MonotoneMachine:
@@ -364,29 +360,29 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
                      intermediate_default) -> MonotoneMachine:
     """Run ``outer`` on the finite-effort approximations produced by ``inner``.
 
-    At effort n the inner machine's answers (padded with the default where it
-    is still silent) form an intermediate oracle.  The composite answers only
-    when every question on the outer modulus list is one the inner machine
-    has actually answered at effort n, so the padding can never influence a
-    returned value.  The intermediate answer set is never materialized;
-    membership is decided per question, and inner results are memoized within
-    a single composite call.
+    At effort n the inner machine's answers, padded with the default where it
+    is still silent, form an intermediate oracle; one padding builds it for
+    the per-effort machine and modulus and for the settle alike.  The
+    composite answers only when every question on the outer modulus list is
+    one the inner machine has actually answered at effort n, so the padding
+    can never influence a returned value.  The intermediate answer set is
+    never materialized; membership is decided per question, and inner
+    results are memoized within a single composite call.
 
-    Its ``settle`` runs the outer machine once on the limit oracle psi, which
-    answers each intermediate question with the inner machine's settled
-    value, or the default where the inner machine is silent at the cap.  The
-    composite first answers at the later of the outer machine's settled
-    effort on psi and the inner settled efforts of the questions on the
-    outer modulus list there: at lower efforts some needed question is still
-    unanswered or the outer machine is silent, and from there on the padded
-    oracle agrees with psi on that list, so self-modulation and monotonicity
-    make the outer machine answer as on psi.  Each intermediate question is
-    settled once per evaluation, also through nested composites.  The
-    record's modulus at effort n pads with the inner records' answers at n
-    (an inner value whose settled effort is at most n, the default
-    otherwise), settles the outer machine on that oracle up to n for its
-    modulus list there, and concatenates the inner records' lists at n for
-    the questions on it.
+    Its ``settle`` runs the outer machine once on the limit oracle psi: the
+    padded answers the inner records give at the cap.  The composite first
+    answers at the later of the outer machine's settled effort on psi and
+    the inner settled efforts of the questions on the outer modulus list
+    there: at lower efforts some needed question is still unanswered or the
+    outer machine is silent, and from there on the padded oracle agrees with
+    psi on that list, so self-modulation and monotonicity make the outer
+    machine answer as on psi.  Each intermediate question is settled once
+    per evaluation, also through nested composites.  The record's modulus at
+    effort n settles the outer machine up to n on the padded answers the
+    inner records give at n (a value whose settled effort is at most n),
+    and concatenates the inner records' lists at n for the questions on the
+    outer modulus list there.  A stage without a ``settle`` of its own is
+    scanned along efforts 0..cap, its modulus called at the effort asked.
     """
     if inner.out_space and outer.in_space and inner.out_space != outer.in_space:
         raise ValueError(
@@ -395,51 +391,44 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     inner_machine, inner_modulus = inner.machine, inner.modulus
     outer_machine, outer_modulus = outer.machine, outer.modulus
 
-    def _approximation(phi, effort):
-        cache = {}
-
-        def raw(question):
-            if question not in cache:
-                cache[question] = inner_machine(phi, effort, question)
-            return cache[question]
-
+    def padded_by(answer):
+        # The intermediate oracle: ``answer``'s value, or the default where
+        # it gives None.
         def padded(question):
-            value = raw(question)
+            value = answer(question)
             return intermediate_default if value is None else value
 
-        return raw, padded
+        return padded
 
     def composite_machine(phi, effort, question):
-        raw, padded = _approximation(phi, effort)
+        answer = functools.cache(functools.partial(inner_machine, phi, effort))
+        padded = padded_by(answer)
         for needed in outer_modulus(padded, effort, question):
-            if raw(needed) is None:
+            if answer(needed) is None:
                 return None
         return outer_machine(padded, effort, question)
 
     def composite_modulus(phi, effort, question):
-        _, padded = _approximation(phi, effort)
-        collected = []
-        for needed in outer_modulus(padded, effort, question):
-            collected.extend(inner_modulus(phi, effort, needed))
-        return collected
+        padded = padded_by(functools.cache(
+            functools.partial(inner_machine, phi, effort)))
+        return [collected for needed in outer_modulus(padded, effort, question)
+                for collected in inner_modulus(phi, effort, needed)]
 
     settle_inner, settle_outer = _settle_fn(inner), _settle_fn(outer)
 
     def composite_settle(phi, cap):
         inner_settled = functools.cache(settle_inner(phi, cap))
 
-        def padded_at(effort):
+        def answer_at(effort):
             # The inner machine's answers at ``effort``, read off its records.
-            def padded(question):
+            def answer(question):
                 found = inner_settled(question).found
-                if found is None or found.effort > effort:
-                    return intermediate_default
-                return found.value
+                return (None if found is None or found.effort > effort
+                        else found.value)
 
-            return padded
+            return answer
 
-        psi = padded_at(cap)
-        outer_settled = settle_outer(psi, cap)
+        outer_settled = settle_outer(padded_by(answer_at(cap)), cap)
 
         def first(question) -> Optional[Evaluation]:
             record = outer_settled(question)
@@ -456,7 +445,8 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
 
         def settled(question) -> _Settled:
             def modulus_at(effort):
-                outer_at = settle_outer(padded_at(effort), effort)(question)
+                outer_at = settle_outer(padded_by(answer_at(effort)),
+                                        effort)(question)
                 return [collected for needed in outer_at.modulus(effort)
                         for collected in inner_settled(needed).modulus(effort)]
 
@@ -492,18 +482,8 @@ def brute_force_min_modulus(machine_like, domain: Sequence,
     def minimal_modulus(phi, effort, question):
         reference = machine(phi, effort, question)
         for segment in prefixes:
-            ok = True
-            for psi in domain:
-                if not restriction_eq(phi, psi, segment):
-                    continue
-                value = machine(psi, effort, question)
-                if (value is None) != (reference is None):
-                    ok = False
-                    break
-                if value is not None and value != reference:
-                    ok = False
-                    break
-            if ok:
+            if all(machine(psi, effort, question) == reference
+                   for psi in domain if restriction_eq(phi, psi, segment)):
                 return list(segment)
         raise ModulusSearchError(
             f"no initial segment of length <= {enumeration_bound} certifies "

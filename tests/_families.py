@@ -143,6 +143,19 @@ def two_point_oracles():
     return [small_oracle(t) for t in itertools.product((0, 1), repeat=2)]
 
 
+def counting_machine(cm, calls):
+    # calls[0] counts raw machine calls, calls[1] raw modulus calls.
+    def machine(phi, effort, question):
+        calls[0] += 1
+        return cm.machine(phi, effort, question)
+
+    def modulus(phi, effort, question):
+        calls[1] += 1
+        return cm.modulus(phi, effort, question)
+
+    return ContinuousMachine(machine, modulus, cm.in_space, cm.out_space)
+
+
 # ---------------------------------------------------------------------------
 # Per-effort reference for evaluate_traced
 

@@ -184,6 +184,14 @@ def test_parse_and_format_rational():
         parse_rational("zebra")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+    # The exponent alone decides these, before any power of ten is built.
+    assert parse_rational("0e99999999") == 0
+    assert parse_rational("-0.0_0e-9_999_999") == 0
+    assert parse_rational("1e4299") == 10 ** 4299
+    assert parse_rational("1e-4299") == Fraction(1, 10 ** 4299)
+    for bomb in ("1e99999999", "-1_0e99_999_999", "1.5E-99999999"):
+        with pytest.raises(ValueError, match="^rational too long"):
+            parse_rational(bomb)
 
 
 def test_encode_value():

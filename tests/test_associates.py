@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from _families import (all_small_oracles, monotone_threshold,
-                       random_threshold_spec, threshold_machine, ThresholdSpec,
-                       traced_by_attempts)
+from _families import (all_small_oracles, counting_machine,
+                       monotone_threshold, random_threshold_spec,
+                       threshold_machine, ThresholdSpec, traced_by_attempts)
 from contmach import (Answer, ContinuousMachine, FiniteFunction, Query,
                       compose_monotone, constant_oracle, dialogue_machine,
                       dialogue_trace, evaluate, evaluate_traced, exact_name,
@@ -296,19 +296,6 @@ def test_inversion_dialogue_is_unchanged_by_use_first(x):
     for eps in (Fraction(1), Fraction(1, 2 ** 30)):
         assert (dialogue_trace(first, exact_name(x), eps, 48)
                 == dialogue_trace(raw, exact_name(x), eps, 48))
-
-
-def counting_machine(cm, calls):
-    # calls[0] counts raw machine calls, calls[1] raw modulus calls.
-    def machine(phi, effort, question):
-        calls[0] += 1
-        return cm.machine(phi, effort, question)
-
-    def modulus(phi, effort, question):
-        calls[1] += 1
-        return cm.modulus(phi, effort, question)
-
-    return ContinuousMachine(machine, modulus, cm.in_space, cm.out_space)
 
 
 def test_associate_of_use_first_makes_the_raw_calls_of_the_raw_machine():

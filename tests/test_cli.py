@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,30 @@ def test_rational_too_long_to_print_exits_one(argv, capsys):
                             "p/q: '1e-5000'\n")
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["invert", "--value", "1e99999999", "--eps", "1"], ""),
+    (["invert", "--value", "2", "--eps", "1e99999999"], ""),
+    (["sign", "--value", "1e99999999", "--max-effort", "2"], ""),
+    (["check", "--machine", "sign", "--corpus", "corpus.json"],
+     "cannot load corpus: "),
+])
+def test_exponent_bomb_exits_one_at_once(argv, prefix, tmp_path, monkeypatch,
+                                         capsys):
+    # Fraction would build 10**99999999 first, which takes minutes.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.json").write_text(json.dumps(
+        [{"point": "1e99999999", "name_kind": "exact"}]))
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert time.perf_counter() - started < 1
+    assert err.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"contmach: error: {prefix}rational too long to "
+                            "print as p/q: '1e99999999'\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["invert", "--value", "7/5", "--eps", "1e-4299", "--max-effort", "4"],
     ["associate-trace", "--machine", "invert", "--value", "7/5",
@@ -302,3 +327,21 @@ def test_output_file_and_text_format(tmp_path, capsys):
                         "--format", "text")
     assert code == 0
     assert "prefix" in out and "command: \"sign\"" in out
+
+    # A nested object, here the trace, is indented under its key.
+    code, out = run_cli(capsys, "invert", "--value", "2", "--eps", "1",
+                        "--max-effort", "2", "--format", "text")
+    assert code == 0
+    assert out == (
+        'command: "invert"\n'
+        'value: "2/1"\n'
+        'eps: "1/1"\n'
+        'schedule: "powers_of_two"\n'
+        'fuel_cap: 2\n'
+        'answer: "1/2"\n'
+        'effort: 0\n'
+        'trace:\n'
+        '  effort_schedule: "powers_of_two"\n'
+        '  attempts: [{"n": 0, "result": "1/2", "modulus": ["1/1", "1/2"]}]\n'
+        '  final: "1/2"\n'
+        '  fuel_cap: 2\n')

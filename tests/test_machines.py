@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from _families import (all_small_oracles, failure_example,
+from _families import (all_small_oracles, counting_machine, failure_example,
                        last_element_modulus, monotone_threshold,
                        random_threshold_spec, small_oracle, table_machine,
                        threshold_machine, ThresholdSpec, traced_by_attempts,
@@ -15,7 +15,8 @@ from contmach import (INVERSION_POINTS, OPT_NONE, SIGN_POINTS,
                       effort_schedule, evaluate,
                       evaluate_traced, exact_name,
                       grid_name, in_F_M, inversion_machine,
-                      kleenean_to_bool_machine, monotone_machine,
+                      kleenean_to_bool_machine, machine_to_associate,
+                      monotone_machine,
                       naturals_alphabet, restriction_eq, sign_machine,
                       use_first)
 
@@ -185,6 +186,15 @@ def test_use_first_monotone_and_terminating_on_random_machines():
 
 # ---------------------------------------------------------------------------
 # derive_modulus_machine
+
+
+@pytest.mark.parametrize("combinator", [
+    use_first, derive_modulus_machine,
+    lambda machine: machine_to_associate(machine, 0, 0),
+])
+def test_combinators_need_a_modulus(combinator):
+    with pytest.raises(ValueError, match="needs a machine with a modulus$"):
+        combinator(only_at_three)
 
 
 def test_derive_modulus_machine_of_silent_machine_is_silent():
@@ -558,6 +568,34 @@ def test_evaluate_traced_raw_call_count():
     assert result is None
     assert len(trace["attempts"]) == 17
     assert calls == [2533]
+
+
+@pytest.mark.parametrize("twin_outer, settled, on_zero, on_seven_fifths", [
+    (True, (43, 1), (1547, 442), (12, 8)),
+    (False, (463, 1), (4403, 1938), (11, 9)),
+])
+def test_composite_with_scan_stage_raw_call_counts(twin_outer, settled,
+                                                   on_zero, on_seven_fifths):
+    # One stage has no settle of its own and is scanned effort by effort;
+    # both stages' raw machine and modulus calls are counted together.
+    def composite(calls):
+        outer, inner = (use_first(counting_machine(inversion_machine(), calls))
+                        for _ in range(2))
+        if twin_outer:
+            return compose_monotone(scan_twin(outer), inner, Fraction(0))
+        return compose_monotone(outer, scan_twin(inner), Fraction(0))
+
+    calls = [0, 0]
+    assert evaluate(composite(calls), exact_name(Fraction(1, 10 ** 6)),
+                    Fraction(1, 2 ** 30), 2 ** 20, "powers_of_two") is not None
+    assert tuple(calls) == settled
+    for point, expected in ((Fraction(0), on_zero),
+                            (Fraction(7, 5), on_seven_fifths)):
+        calls = [0, 0]
+        result, _ = evaluate_traced(composite(calls), exact_name(point),
+                                    Fraction(1, 8), 16, "linear")
+        assert (result is None) == (point == 0)
+        assert tuple(calls) == expected, point
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,16 @@ def test_check_flags_broken_machine():
                             standard_corpus((Fraction(2), Fraction(7, 5))),
                             2 ** 6)
     assert report.failures
+    # Kleenean names are judged as a whole: sign's answers name the sign of
+    # x, never the sign of -x where x is nonzero.
+    report = check_realizer(sign_machine(), lambda x: sign_kleenean(-x),
+                            rational_reals(), kleeneans(),
+                            standard_corpus((Fraction(1), Fraction(-1, 1000))),
+                            4)
+    assert [(f["point"], f["question"]) for f in report.failures] == [
+        ("1/1", "name_check"), ("1/1", "name_check"),
+        ("-1/1000", "name_check"), ("-1/1000", "name_check")]
+    assert report.undecided == ()
 
 
 def test_check_reports_fuel_exhaustion_as_undecided():

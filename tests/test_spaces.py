@@ -155,6 +155,9 @@ def test_bool_to_kleenean_forward():
     phi = constant_oracle(True)
     produced = lambda index: forward.machine(phi, 0, index)
     assert kleeneans().is_name(produced, Kleenean.TRUE)
+    # Every entry reads the Boolean name's one question.
+    assert all(forward.modulus(phi, effort, index) == [STAR]
+               for effort in (0, 3) for index in (0, 5))
 
 
 def test_kleenean_to_bool_backward():
