@@ -15,7 +15,7 @@ from typing import Callable, Union
 from .alphabets import (FiniteFunction, NameOracle, encode_value,
                         extend_with_default, list_diff)
 from .machines import (Evaluation, MonotoneMachine, _Settled,
-                       _SettlingMachine, _machine_fn, _modulus_fn)
+                       _SettlingMachine, _with_modulus)
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,7 @@ def machine_to_associate(machine_like, question_default, answer_default) -> Asso
     takes ~E raw calls.
     """
     machine_like = getattr(machine_like, "_first_of", None) or machine_like
-    machine = _machine_fn(machine_like)
-    modulus = _modulus_fn(machine_like)
-    if modulus is None:
-        raise ValueError("machine_to_associate needs a machine with a modulus")
+    machine, modulus = _with_modulus(machine_like, "machine_to_associate")
 
     def associate(state: FiniteFunction, question):
         padded = extend_with_default(state, answer_default)

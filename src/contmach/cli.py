@@ -145,9 +145,17 @@ def _question(parser, args, space_out):
     """The question put to a machine whose outputs name points of ``space_out``.
 
     Rational-real names are asked a positive accuracy ``--eps``; any other
-    output space is asked the natural number ``--index``.
+    output space is asked the natural number ``--index``, which the sign
+    stage turns into the accuracy 2^-index: an index whose power of two has
+    more digits than Python prints is refused before that power is built.
     """
     if space_out.name != "rational_reals":
+        limit = sys.get_int_max_str_digits()
+        # 2^index has at most ``limit`` digits below 3 * limit and more
+        # above 4 * limit.
+        if limit and args.index >= 3 * limit and (
+                args.index > 4 * limit or 2 ** args.index >= 10 ** limit):
+            raise _RationalTooLong("rational too long to print as p/q")
         return args.index
     if args.eps is None:
         parser.error("--eps is required when the output is rational names")
@@ -157,50 +165,13 @@ def _question(parser, args, space_out):
     return eps
 
 
-def _run_evaluation(parser, args, head: dict, machine, value, question) -> int:
-    """Evaluate ``machine`` on the exact name of ``value`` and emit the trace."""
-    result, trace = evaluate_traced(machine, exact_name(value), question,
-                                    args.max_effort, args.schedule)
-    doc = {
-        **head,
-        "schedule": args.schedule,
-        "fuel_cap": args.max_effort,
-        "answer": None if result is None else encode_value(result.value),
-        "effort": None if result is None else result.effort,
-        "trace": trace,
-    }
-    _emit(parser, args, doc)
-    return EXIT_OK if result is not None else EXIT_UNDECIDED
-
-
-def _run_invert(parser, args) -> int:
+def _run_pipeline(parser, args, pipeline: str, head) -> tuple[dict, bool]:
+    """Evaluate the built-in machines named in ``pipeline`` (``a|b`` runs
+    ``a`` first), each through ``use_first``, on the exact name of
+    ``--value``, and document the trace under ``head(stage_names, value,
+    question)``."""
     value = _parse_value(parser, args.value)
-    machine, _, _, space_out = _BUILTINS["invert"]()
-    eps = _question(parser, args, space_out)
-    head = {"command": "invert", "value": format_rational(value),
-            "eps": format_rational(eps)}
-    return _run_evaluation(parser, args, head, use_first(machine), value, eps)
-
-
-def _run_sign(parser, args) -> int:
-    value = _parse_value(parser, args.value)
-    machine = sign_machine()
-    name = exact_name(value)
-    prefix = [encode_value(machine.machine(name, 0, index))
-              for index in range(args.max_effort + 1)]
-    doc = {
-        "command": "sign",
-        "value": format_rational(value),
-        "max_effort": args.max_effort,
-        "prefix": prefix,
-    }
-    _emit(parser, args, doc)
-    return EXIT_OK
-
-
-def _run_compose(parser, args) -> int:
-    value = _parse_value(parser, args.value)
-    stage_names = [s.strip() for s in args.pipeline.split("|") if s.strip()]
+    stage_names = [s.strip() for s in pipeline.split("|") if s.strip()]
     if not stage_names:
         parser.error("empty pipeline")
     stages = []
@@ -218,12 +189,47 @@ def _run_compose(parser, args) -> int:
             parser.error(str(exc))
         space_out = next_out
     question = _question(parser, args, space_out)
-    head = {"command": "compose", "pipeline": "|".join(stage_names),
-            "value": format_rational(value), "question": encode_value(question)}
-    return _run_evaluation(parser, args, head, composite, value, question)
+    result, trace = evaluate_traced(composite, exact_name(value), question,
+                                    args.max_effort, args.schedule)
+    doc = {
+        **head(stage_names, value, question),
+        "schedule": args.schedule,
+        "fuel_cap": args.max_effort,
+        "answer": None if result is None else encode_value(result.value),
+        "effort": None if result is None else result.effort,
+        "trace": trace,
+    }
+    return doc, result is not None
 
 
-def _run_associate_trace(parser, args) -> int:
+def _run_invert(parser, args) -> tuple[dict, bool]:
+    return _run_pipeline(parser, args, "invert", lambda _, value, eps: {
+        "command": "invert", "value": format_rational(value),
+        "eps": format_rational(eps)})
+
+
+def _run_sign(parser, args) -> tuple[dict, bool]:
+    value = _parse_value(parser, args.value)
+    machine = sign_machine()
+    name = exact_name(value)
+    prefix = [encode_value(machine.machine(name, 0, index))
+              for index in range(args.max_effort + 1)]
+    doc = {
+        "command": "sign",
+        "value": format_rational(value),
+        "max_effort": args.max_effort,
+        "prefix": prefix,
+    }
+    return doc, True
+
+
+def _run_compose(parser, args) -> tuple[dict, bool]:
+    return _run_pipeline(parser, args, args.pipeline, lambda stages, value, question: {
+        "command": "compose", "pipeline": "|".join(stages),
+        "value": format_rational(value), "question": encode_value(question)})
+
+
+def _run_associate_trace(parser, args) -> tuple[dict, bool]:
     value = _parse_value(parser, args.value)
     machine, _, space_in, space_out = _BUILTINS[args.machine]()
     question = _question(parser, args, space_out)
@@ -240,11 +246,10 @@ def _run_associate_trace(parser, args) -> int:
         "max_rounds": args.max_rounds,
         "transcript": transcript.to_json(),
     }
-    _emit(parser, args, doc)
-    return EXIT_OK if transcript.answered else EXIT_UNDECIDED
+    return doc, transcript.answered
 
 
-def _run_check(parser, args) -> int:
+def _run_check(parser, args) -> tuple[dict, bool]:
     try:
         with open(args.corpus, "r", encoding="utf-8") as handle:
             corpus = load_corpus(handle.read())
@@ -267,8 +272,7 @@ def _run_check(parser, args) -> int:
         "fuel_cap": args.fuel_cap,
         "report": report.to_json(),
     }
-    _emit(parser, args, doc)
-    return EXIT_OK if not report.failures else EXIT_UNDECIDED
+    return doc, not report.failures
 
 
 def main(argv=None) -> int:
@@ -282,10 +286,12 @@ def main(argv=None) -> int:
         "check": _run_check,
     }
     try:
-        return runners[args.command](parser, args)
+        doc, answered = runners[args.command](parser, args)
     except _RationalTooLong as exc:
         # Inputs are checked when parsed; this is a rational the run derived.
         parser.error(f"the run derived a {exc}")
+    _emit(parser, args, doc)
+    return EXIT_OK if answered else EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

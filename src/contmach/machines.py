@@ -97,6 +97,15 @@ def _modulus_fn(machine_like) -> Optional[ModulusFn]:
     return getattr(machine_like, "modulus", None)
 
 
+def _with_modulus(machine_like, combinator: str):
+    """``machine_like``'s machine and modulus; ``combinator`` names the
+    caller in the error raised when it has no modulus."""
+    modulus = _modulus_fn(machine_like)
+    if modulus is None:
+        raise ValueError(f"{combinator} needs a machine with a modulus")
+    return machine_like.machine, modulus
+
+
 # ---------------------------------------------------------------------------
 # Effort search
 
@@ -293,10 +302,7 @@ def use_first(machine_like) -> MonotoneMachine:
     innermost one when ``use_first`` is nested); ``machine_to_associate``
     walks that machine instead, with the same consultations.
     """
-    machine = _machine_fn(machine_like)
-    modulus = _modulus_fn(machine_like)
-    if modulus is None:
-        raise ValueError("use_first needs a machine with a modulus")
+    machine, modulus = _with_modulus(machine_like, "use_first")
 
     def first_machine(phi, effort, question):
         found = _first_answer(machine, phi, question, range(effort + 1))
@@ -325,8 +331,7 @@ def use_first(machine_like) -> MonotoneMachine:
         return settled
 
     return _SettlingMachine(first_machine, first_modulus,
-                            getattr(machine_like, "in_space", ""),
-                            getattr(machine_like, "out_space", ""),
+                            machine_like.in_space, machine_like.out_space,
                             settle=first_settle,
                             _first_of=getattr(machine_like, "_first_of", None)
                             or machine_like)
@@ -338,18 +343,14 @@ def derive_modulus_machine(machine_like) -> ContinuousMachine:
     Answers the modulus list (as a tuple) exactly at the efforts where the
     underlying machine answers; reuses the underlying modulus as its own.
     """
-    machine = _machine_fn(machine_like)
-    modulus = _modulus_fn(machine_like)
-    if modulus is None:
-        raise ValueError("derive_modulus_machine needs a machine with a modulus")
+    machine, modulus = _with_modulus(machine_like, "derive_modulus_machine")
 
     def list_machine(phi, effort, question):
         if machine(phi, effort, question) is None:
             return None
         return tuple(modulus(phi, effort, question))
 
-    return ContinuousMachine(list_machine, modulus,
-                             getattr(machine_like, "in_space", ""))
+    return ContinuousMachine(list_machine, modulus, machine_like.in_space)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import sys
 import time
 from fractions import Fraction
 
@@ -8,6 +9,10 @@ import pytest
 import contmach.cli
 from contmach import machine_to_associate, parse_rational, use_first
 from contmach.cli import build_parser, main
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
+
+import cli_diff  # noqa: E402
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -56,28 +61,11 @@ def test_trace_attempts_match_schedule(capsys):
     assert [a["n"] for a in doc["trace"]["attempts"]] == [0, 1, 2, 3, 4, 5]
 
 
-def test_usage_errors_exit_one(capsys):
-    for argv in (
-        ["invert", "--value", "zebra", "--eps", "1"],
-        ["invert", "--value", "2", "--eps", "0"],
-        ["invert", "--value", "2", "--eps", "-1/2"],
-        ["invert", "--value", "2", "--eps", "1/0"],
-        ["compose", "--pipeline", "invert|frobnicate", "--value", "2", "--eps", "1"],
-        ["compose", "--pipeline", "sign|invert", "--value", "2", "--eps", "1"],
-        ["compose", "--pipeline", "|", "--value", "2", "--eps", "1"],
-        ["compose", "--pipeline", "invert|invert", "--value", "2"],
-        ["check", "--machine", "invert", "--corpus", "/nonexistent.json"],
-        ["associate-trace", "--machine", "invert", "--value", "2"],
-        ["compose", "--pipeline", "sign", "--value", "1", "--index", "-1"],
-        ["associate-trace", "--machine", "sign", "--value", "1", "--index", "-3"],
-        ["associate-trace", "--machine", "sign", "--value", "1",
-         "--max-rounds", "-1"],
-        ["check", "--machine", "sign", "--corpus", "corpus.json",
-         "--fuel-cap", "-1"],
-        ["invert", "--value", "2", "--eps", "1", "--max-effort", "-1"],
-        ["sign", "--value", "1", "--max-effort", "-2"],
-        ["compose", "--pipeline", "sign", "--value", "1", "--index", "two"],
-    ):
+def test_usage_errors_exit_one(tmp_path, monkeypatch, capsys):
+    # The list tools/cli_diff.py compares with a parent commit; its relative
+    # output path names a directory that does not exist in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    for argv in cli_diff.USAGE_ERRORS:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 1, argv
@@ -130,6 +118,21 @@ def test_compose_inversion_twice(capsys):
     doc = json.loads(out)
     answer = parse_rational(doc["answer"])
     assert abs(answer - Fraction(7, 5)) <= Fraction(1, 1024)
+
+
+@pytest.mark.parametrize("schedule", ["linear", "powers_of_two"])
+@pytest.mark.parametrize("value", ["0", "7/5", "1e-6"])
+def test_invert_is_the_one_stage_pipeline(value, schedule, capsys):
+    flags = ["--value", value, "--eps", "1/1024", "--schedule", schedule,
+             "--max-effort", "40"]
+    code, out = run_cli(capsys, "invert", *flags)
+    piped_code, piped_out = run_cli(capsys, "compose", "--pipeline", "invert",
+                                    *flags)
+    doc, piped = json.loads(out), json.loads(piped_out)
+    assert code == piped_code == (2 if value == "0" else 0)
+    assert doc["eps"] == piped["question"]
+    for key in ("answer", "effort", "schedule", "fuel_cap", "trace"):
+        assert doc[key] == piped[key], key
 
 
 def test_compose_invert_then_sign(capsys):

@@ -72,13 +72,26 @@ USAGE_ERRORS = [
     ["invert", "--value", "2", "--eps", "1", "--output", "missing/x.json"],
 ]
 
+#: Usage errors with more than one fault: the message shows which check
+#: runs first (value, empty pipeline, unknown machine, misaligned stages,
+#: then eps or index).
+ERROR_ORDER = [
+    ["invert", "--value", "zebra", "--eps", "0"],
+    ["compose", "--pipeline", "|", "--value", "zebra"],
+    ["compose", "--pipeline", "frobnicate", "--value", "zebra"],
+    ["compose", "--pipeline", "invert|frobnicate", "--value", "2"],
+    ["compose", "--pipeline", "sign|invert", "--value", "2"],
+]
+
 POINTS = ("0", "7/5", "1e-6", "-3")
 SCHEDULES = ("linear", "powers_of_two")
 
 
 def vectors() -> list:
     """The argument vectors both sides run, in order."""
-    runs = GOLDENS + USAGE_ERRORS
+    runs = GOLDENS + USAGE_ERRORS + ERROR_ORDER
+    # ``invert`` is the one-stage pipeline: each is run beside the other.
+    runs += [["compose", "--pipeline", *argv] for argv in GOLDENS[:2]]
     for point in POINTS:
         for eps in ("1", "1/1024"):
             for schedule in SCHEDULES:
@@ -86,6 +99,8 @@ def vectors() -> list:
                     flags = [f"--value={point}", "--eps", eps,
                              "--schedule", schedule, "--max-effort", cap]
                     runs.append(["invert", *flags])
+                    if point in POINTS[:3]:
+                        runs.append(["compose", "--pipeline", "invert", *flags])
                     runs.append(["compose", "--pipeline", "invert|invert", *flags])
     for point in POINTS[:3]:
         for schedule in SCHEDULES:
@@ -99,6 +114,12 @@ def vectors() -> list:
         runs.append(["compose", "--pipeline", "sign", f"--value={point}",
                      "--index", "3", "--max-effort", "16"])
         runs.append(["sign", f"--value={point}", "--max-effort", "8"])
+    # 2^-14285 is the first sign accuracy with more digits than Python prints.
+    for index in ("14284", "14285"):
+        runs.append(["compose", "--pipeline", "sign", "--value", "1",
+                     "--index", index])
+        runs.append(["associate-trace", "--machine", "sign", "--value", "1",
+                     "--index", index])
     for rounds in ("6", "24"):
         for point in ("0", "7/5", "-1/1000000"):
             runs.append(["associate-trace", "--machine", "invert",
