@@ -6,6 +6,12 @@ sub-functions are ordered lists of question/answer pairs with first-match
 lookup, so duplicated questions are harmless and transcripts can simply be
 appended to.  Equality of questions and answers is Python ``==``, the
 decidable equality the paper assumes of every alphabet.
+
+First-match lookup reads a hashed index from each question to its first
+answer, built once per table (and extended, not rebuilt, when a transcript
+grows), so a lookup costs one hash whatever the table's length.  Questions
+must therefore be hashable, with ``hash`` agreeing with ``==``; every shipped
+alphabet meets this, and ``compose_monotone``'s cache needs it already.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -168,7 +175,11 @@ class FiniteFunction:
     """An ordered list of (question, answer) pairs.
 
     ``size`` counts list entries, not distinct questions; lookups return the
-    answer of the first entry whose question matches.
+    answer of the first entry whose question matches.  They read a private
+    index from each question to its first answer, built on first use and
+    extended by ``append_pairs``, so questions must be hashable with
+    ``hash`` agreeing with ``==``.  Equality, ``repr`` and hashing are those
+    of ``entries`` alone.
     """
 
     entries: tuple = ()
@@ -182,18 +193,37 @@ class FiniteFunction:
         # churns the allocator and raises the process's resident memory.
         return tuple([q for q, _ in self.entries])
 
+    @cached_property
+    def _index(self) -> dict:
+        return _first_answers(self.entries)
+
     def append_pairs(self, pairs: Sequence) -> "FiniteFunction":
-        return FiniteFunction(self.entries + tuple(pairs))
+        pairs = tuple(pairs)
+        grown = FiniteFunction(self.entries + pairs)
+        # Seed the cached index from this one's: the copy keeps the stored
+        # hashes, so only the new pairs are hashed.
+        grown.__dict__["_index"] = _first_answers(pairs, self._index)
+        return grown
+
+
+def _first_answers(pairs: Sequence, first: dict | None = None) -> dict:
+    """Map each question of ``pairs`` to its first answer, on top of a copy
+    of ``first``; an earlier entry always wins."""
+    first = {} if first is None else first.copy()
+    for question, answer in pairs:
+        first.setdefault(question, answer)
+    return first
 
 
 def lookup(finite_fn: FiniteFunction, question):
     """First-match lookup; returns None when the question is unbound."""
-    return table_oracle(finite_fn.entries, None)(question)
+    return finite_fn._index.get(question)
 
 
 def extend_with_default(finite_fn: FiniteFunction, default_answer) -> NameOracle:
     """Totalize a finite sub-function by answering everything else with a default."""
-    return table_oracle(finite_fn.entries, default_answer)
+    index = finite_fn._index
+    return lambda question: index.get(question, default_answer)
 
 
 def restriction_eq(phi: NameOracle, psi: NameOracle, questions: Sequence) -> bool:
@@ -224,18 +254,24 @@ def table_oracle(table: Sequence, fallback) -> NameOracle:
     return override_oracle(lambda question: fallback, table)
 
 
+#: What the index gives for a question it does not bind.
+_UNBOUND = object()
+
+
 def override_oracle(base: NameOracle, table: Sequence) -> NameOracle:
     """Splice finitely many answers over a base oracle; the first match wins.
 
-    This is the first-match scan that every lookup helper above shares.
+    The table's first-match index is built once, when the oracle is made,
+    by the index construction that every lookup helper above shares, so a
+    query costs one hash of the question; a bound None answer still wins
+    over the base.  Questions must be hashable, with ``hash`` agreeing with
+    ``==``.
     """
-    entries = tuple(table)
+    first = _first_answers(table)
 
     def oracle(question):
-        for bound, answer in entries:
-            if bound == question:
-                return answer
-        return base(question)
+        answer = first.get(question, _UNBOUND)
+        return base(question) if answer is _UNBOUND else answer
 
     return oracle
 

@@ -89,13 +89,18 @@ def machine_to_associate(machine_like, question_default, answer_default) -> Asso
     first uncovered modulus or answer, which committing to the first answer
     does not move, so every consultation is the same, and reading effort E
     takes ~E raw calls.
+
+    The padded oracle and the check for unbound questions both read the
+    transcript's first-match index, so each costs one hash per question
+    rather than a scan of the transcript; questions must be hashable, with
+    ``hash`` agreeing with ``==``.
     """
     machine_like = getattr(machine_like, "_first_of", None) or machine_like
     machine, modulus = _with_modulus(machine_like, "machine_to_associate")
 
     def associate(state: FiniteFunction, question):
         padded = extend_with_default(state, answer_default)
-        bound = state.questions()
+        bound = state._index
         for effort in range(state.size + 1):
             needed = modulus(padded, effort, question)
             missing = list_diff(needed, bound)

@@ -63,6 +63,66 @@ def test_extend_agrees_with_lookup_on_bound_questions():
                 assert oracle(question) == lookup(ff, question)
 
 
+# Questions equal across types (0 == False == Fraction(0)) hash alike and
+# must share one index entry; None is a bound answer that must still win
+# over the fallback or base.
+MIXED_QUESTIONS = (0, False, Fraction(0), 1, True, Fraction(1))
+MIXED_PROBES = MIXED_QUESTIONS + (2, Fraction(1, 2), "q")
+
+
+def scan_bound(ff, question):
+    # Independent reference for "some entry binds the question".
+    return any(q == question for q, _ in ff.entries)
+
+
+def chains(entries):
+    # The same table built in one go and by every chain of append_pairs.
+    yield FiniteFunction(entries)
+    for cuts in itertools.product((False, True), repeat=max(len(entries) - 1, 0)):
+        ff, start = FiniteFunction(), 0
+        for stop, cut in enumerate(cuts + (True,), start=1):
+            if cut:
+                ff = ff.append_pairs(list(entries[start:stop]))
+                start = stop
+        yield ff
+
+
+def test_index_matches_scan_on_mixed_types_duplicates_and_none():
+    pairs = [(q, a) for q in MIXED_QUESTIONS for a in (None, "x")]
+    for length in range(4):
+        for entries in itertools.product(pairs, repeat=length):
+            for ff in chains(entries):
+                assert ff.entries == entries
+                padded = extend_with_default(ff, "d")
+                tabled = table_oracle(entries, "d")
+                spliced = override_oracle(lambda question: ("base", question),
+                                          entries)
+                for question in MIXED_PROBES:
+                    want = scan_lookup(ff, question)
+                    bound = scan_bound(ff, question)
+                    assert lookup(ff, question) == want, (entries, question)
+                    assert padded(question) == (want if bound else "d")
+                    assert tabled(question) == (want if bound else "d")
+                    assert spliced(question) == (
+                        want if bound else ("base", question))
+
+
+def test_finite_function_identity_ignores_how_it_was_built():
+    entries = ((0, "a"), (False, None), (Fraction(1), "b"), (True, "c"), (0, "e"))
+    built = list(chains(entries))
+    assert len(built) == 2 ** (len(entries) - 1) + 1
+    for ff in built:
+        lookup(ff, 0)
+        assert ff == built[0] and hash(ff) == hash(built[0])
+        assert repr(ff) == repr(built[0]) == f"FiniteFunction(entries={entries!r})"
+    assert FiniteFunction(entries) != FiniteFunction(entries[:-1])
+    # Appending leaves the table it grew from as it was.
+    short = FiniteFunction(((0, "a"),))
+    grown = short.append_pairs([(1, "b"), (0, "c")])
+    assert lookup(short, 1) is None and lookup(grown, 1) == "b"
+    assert lookup(grown, 0) == "a" and short.entries == ((0, "a"),)
+
+
 def test_restriction_eq_reflexive_and_empty():
     phi = table_oracle([(0, "a")], "z")
     assert restriction_eq(phi, phi, [0, 1, 2])
@@ -161,6 +221,22 @@ def test_equality_is_python_eq(alpha, size):
     for a, i in zip(elements, indices):
         for b, j in zip(elements, indices):
             assert (a == b) == (i == j), (a, b)
+
+
+def test_equal_elements_hash_equal():
+    # The first-match index hashes questions, so elements that compare equal
+    # must hash equal, also across alphabets (naturals' 0 == Fraction(0)).
+    alphabets = [rationals_alphabet(), naturals_alphabet(),
+                 opt_alphabet(rationals_alphabet()),
+                 pair_alphabet(naturals_alphabet(), rationals_alphabet())]
+    elements = [e for alpha in alphabets for e in alpha.prefix(200)]
+    equal_pairs = 0
+    for a in elements:
+        for b in elements:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+                equal_pairs += a is not b
+    assert equal_pairs > 0
 
 
 def test_opt_none_equals_only_itself():

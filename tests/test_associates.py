@@ -10,9 +10,10 @@ from _families import (all_small_oracles, counting_machine,
 from contmach import (Answer, ContinuousMachine, FiniteFunction, Query,
                       compose_monotone, constant_oracle, dialogue_machine,
                       dialogue_trace, evaluate, evaluate_traced, exact_name,
-                      grid_name, in_F_M, inversion_machine, lookup,
-                      machine_to_associate, monotone_machine, override_oracle,
-                      sign_machine, use_first)
+                      extend_with_default, grid_name, in_F_M,
+                      inversion_machine, lookup, machine_to_associate,
+                      monotone_machine, override_oracle, sign_machine,
+                      use_first)
 
 
 def constant_answer_associate(value):
@@ -311,6 +312,123 @@ def test_associate_of_use_first_makes_the_raw_calls_of_the_raw_machine():
                                Fraction(1, 8), 32)
         assert not trace.answered and len(trace.rounds) == 32
         assert calls == [496, 528]
+
+
+def scan_associate(machine_like, question_default, answer_default):
+    # Reference: the associate with linear first-match scans of the
+    # transcript, both in the padded oracle and in the unbound-question check.
+    machine_like = getattr(machine_like, "_first_of", None) or machine_like
+    machine, modulus = machine_like.machine, machine_like.modulus
+
+    def associate(state, question):
+        def padded(asked):
+            for bound, answer in state.entries:
+                if bound == asked:
+                    return answer
+            return answer_default
+
+        bound = state.questions()
+        for effort in range(state.size + 1):
+            missing = [q for q in modulus(padded, effort, question)
+                       if q not in bound]
+            if missing:
+                return Query(tuple(missing))
+            value = machine(padded, effort, question)
+            if value is not None:
+                return Answer(value)
+        return Query((question_default,))
+
+    return associate
+
+
+def test_associate_matches_scan_reference_on_threshold_families():
+    rng = random.Random(11)
+    specs = [random_threshold_spec(rng, allow_dead=True) for _ in range(12)]
+    specs += [ThresholdSpec(1, 2, base=1, spread=2, salt=1, vary=True),
+              ThresholdSpec(0, 1, base=0, spread=3, salt=2, dead_stride=4)]
+    machines = [threshold_machine(spec) for spec in specs]
+    machines += [monotone_threshold(spec) for spec in specs if not spec.vary]
+    machines += [use_first(threshold_machine(spec)) for spec in specs]
+    assert any(spec.vary for spec in specs)
+    for mm in machines:
+        for default_question in (0, 2):
+            indexed = machine_to_associate(mm, default_question, 1)
+            scanned = scan_associate(mm, default_question, 1)
+            for phi in all_small_oracles():
+                for question in range(3):
+                    assert (dialogue_trace(indexed, phi, question, 12)
+                            == dialogue_trace(scanned, phi, question, 12))
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(7, 5), Fraction(1, 10 ** 6)])
+def test_inversion_associate_matches_scan_reference(x):
+    mm = use_first(inversion_machine())
+    indexed = machine_to_associate(mm, Fraction(0), Fraction(0))
+    scanned = scan_associate(mm, Fraction(0), Fraction(0))
+    trace = dialogue_trace(indexed, exact_name(x), Fraction(1, 8), 128)
+    assert trace == dialogue_trace(scanned, exact_name(x), Fraction(1, 8), 128)
+    assert trace.answered == (x != 0)
+    assert len(trace.rounds) == 128 or trace.answered
+
+
+def test_sign_associate_matches_scan_reference():
+    mm = use_first(sign_machine())
+    indexed = machine_to_associate(mm, Fraction(0), Fraction(0))
+    scanned = scan_associate(mm, Fraction(0), Fraction(0))
+    for x in (Fraction(1), Fraction(-3, 7), Fraction(1, 10 ** 6), Fraction(0)):
+        for name in (exact_name(x), grid_name(x)):
+            for index in (0, 1, 6, 24):
+                assert (dialogue_trace(indexed, name, index, 24)
+                        == dialogue_trace(scanned, name, index, 24))
+
+
+class CountedQuestion:
+    """A question equal to another with the same value; ``==`` calls are
+    counted in the shared ``tally``."""
+
+    def __init__(self, value, tally):
+        self.value, self.tally = value, tally
+
+    def __eq__(self, other):
+        self.tally[0] += 1
+        return isinstance(other, CountedQuestion) and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+
+def transcript_comparisons(size):
+    # == calls made by padded-oracle and table lookups and by one associate
+    # consultation on a transcript of ``size`` entries; the lookups ask for
+    # fresh questions equal to the first, middle and last entries and for
+    # one unbound question.
+    tally = [0]
+    state = FiniteFunction()
+    for i in range(size):
+        state = state.append_pairs([(CountedQuestion(i, tally), i)])
+    probes = [size - 1, size // 2, 0]
+    asked = lambda: [CountedQuestion(i, tally) for i in probes]
+    cm = ContinuousMachine(lambda phi, n, q: sum(phi(p) for p in asked()),
+                           lambda phi, n, q: asked())
+    associate = machine_to_associate(cm, 0, -1)
+    padded = extend_with_default(state, -1)
+    spliced = override_oracle(constant_oracle(-1), state.entries)
+    tally[0] = 0
+    for oracle in (padded, spliced, lambda q: lookup(state, q)):
+        assert [oracle(q) for q in asked()] == probes
+        assert oracle(CountedQuestion(size, tally)) in (-1, None)
+    assert associate(state, "q") == Answer(sum(probes))
+    return tally[0]
+
+
+def test_transcript_lookups_compare_a_bounded_number_of_times():
+    # Each lookup hashes its question and compares it with the one entry of
+    # equal hash, so the count does not grow with the transcript; a scan of
+    # the transcript made ~size comparisons per lookup.
+    small, large = transcript_comparisons(10), transcript_comparisons(1000)
+    # At most one per bound question asked: 3 oracles x 3 questions, then 3
+    # in the bound check and 3 machine reads in the consultation.
+    assert small == large <= 15
 
 
 PADDING = object()

@@ -2,88 +2,125 @@
 ends in exit code 0, 1 or 2, never in another exception, and a huge
 ``--index`` is refused at once.
 
-The fuzzed examples are derandomized and no example database is kept, so every run
-tries the same vectors.  Hypothesis's own cache of the constants it reads in
-local source files goes to the temporary directory the runs work in, so the
-test writes nothing outside it.
+The fuzzed vectors are drawn from a ``random.Random`` with a fixed seed, so
+every run tries the same vectors, whichever other modules are loaded.
 """
 
 import contextlib
 import io
 import json
 import os
+import random
+import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+from contmach.cli import main
 
-from contmach.cli import main  # noqa: E402
+SEED = 20_250_611
+VECTORS = 250
 
-#: Rational texts: free text, ``p/q`` forms, and literals near the limits.
-RATIONALS = st.one_of(
-    st.text(max_size=12),
-    st.fractions().map(str),
-    st.sampled_from(["0", "7/5", "-3", "1e-6", "1/1024", "1e-4299",
-                     "1e-5000", "1e99999999"]),
-)
-#: Any natural number, with the powers of two just below and above the
-#: printable limit and indices far past it.
-INDICES = st.one_of(st.integers(min_value=0, max_value=64),
-                    st.integers(min_value=14_280, max_value=14_290),
-                    st.integers(min_value=0),
-                    st.integers(min_value=10 ** 20, max_value=10 ** 40))
-PIPELINES = st.lists(st.one_of(st.sampled_from(["invert", "sign"]),
-                               st.text(max_size=8)),
-                     max_size=3).map("|".join)
-SCHEDULES = st.sampled_from(["linear", "powers_of_two"])
-MACHINES = st.sampled_from(["invert", "sign"])
+#: Characters of free text: those rationals are written with, and the rest
+#: of printable ASCII; ``_text`` adds arbitrary code points as well.
+RATIONAL_CHARS = "0123456789/.-+eE_ "
+PRINTABLE = "".join(map(chr, range(0x20, 0x7F)))
+#: Rationals near the limits: plain, tiny, just printable, too long to
+#: print and an exponent bomb.
+SPECIAL_RATIONALS = ["0", "7/5", "-3", "1e-6", "1/1024", "1e-4299",
+                     "1e-5000", "1e99999999"]
+MACHINES = ["invert", "sign"]
+SCHEDULES = ["linear", "powers_of_two"]
 
 
-def _flag(name, strategy):
+def _code_point(rng):
+    # Any code point but the surrogates, which no UTF-8 text can hold.
+    while True:
+        point = rng.randrange(sys.maxunicode + 1)
+        if not 0xD800 <= point <= 0xDFFF:
+            return chr(point)
+
+
+def _text(rng, max_size):
+    """Free text of up to ``max_size`` characters."""
+    pools = [lambda: rng.choice(RATIONAL_CHARS), lambda: rng.choice(PRINTABLE),
+             lambda: _code_point(rng)]
+    return "".join(rng.choice(pools)()
+                   for _ in range(rng.randint(0, max_size)))
+
+
+def _rational(rng):
+    """Free text, a ``p/q`` form of any size, or a literal near the limits."""
+    kind = rng.random()
+    if kind < 0.25:
+        return _text(rng, 12)
+    if kind < 0.6:
+        numerator = rng.randint(-10 ** rng.randint(0, 30), 10 ** rng.randint(0, 30))
+        return str(Fraction(numerator, rng.randint(1, 10 ** rng.randint(0, 30))))
+    return rng.choice(SPECIAL_RATIONALS)
+
+
+def _index(rng):
+    """Any natural number, with the powers of two just below and above the
+    printable limit and indices far past it."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(0, 64)
+    if kind == 1:
+        return rng.randint(14_280, 14_290)
+    if kind == 2:
+        return rng.randint(0, 10 ** rng.randint(1, 30))
+    return rng.randint(10 ** 20, 10 ** 40)
+
+
+def _pipeline(rng):
+    stages = [rng.choice(MACHINES) if rng.random() < 0.75
+              else _text(rng, 8) for _ in range(rng.randint(0, 3))]
+    return "|".join(stages)
+
+
+def _flag(rng, name, draw):
     """``--name=value``, or nothing when the flag is left out."""
-    return st.one_of(st.just([]), strategy.map(lambda value: [f"--{name}={value}"]))
+    return [f"--{name}={draw(rng)}"] if rng.random() < 0.5 else []
 
 
-@st.composite
-def argument_vectors(draw, workdir):
+def argument_vector(rng, workdir):
     """One argument vector, and the corpus text a ``check`` run reads."""
-    command = draw(st.sampled_from(
-        ["invert", "sign", "compose", "associate-trace", "check"]))
-    value = f"--value={draw(RATIONALS)}"
-    effort = f"--max-effort={draw(st.integers(0, 16))}"
+    command = rng.choice(["invert", "sign", "compose", "associate-trace", "check"])
+    value = f"--value={_rational(rng)}"
+    effort = f"--max-effort={rng.randint(0, 16)}"
     corpus = None
     if command == "invert":
-        argv = [value, f"--eps={draw(RATIONALS)}", effort,
-                *draw(_flag("schedule", SCHEDULES))]
+        argv = [value, f"--eps={_rational(rng)}", effort,
+                *_flag(rng, "schedule", lambda r: r.choice(SCHEDULES))]
     elif command == "sign":
         argv = [value, effort]
     elif command == "compose":
-        argv = [f"--pipeline={draw(PIPELINES)}", value, effort,
-                *draw(_flag("eps", RATIONALS)), *draw(_flag("index", INDICES)),
-                *draw(_flag("schedule", SCHEDULES))]
+        argv = [f"--pipeline={_pipeline(rng)}", value, effort,
+                *_flag(rng, "eps", _rational), *_flag(rng, "index", _index),
+                *_flag(rng, "schedule", lambda r: r.choice(SCHEDULES))]
     elif command == "associate-trace":
-        argv = [f"--machine={draw(MACHINES)}", value,
-                f"--max-rounds={draw(st.integers(0, 24))}",
-                *draw(_flag("eps", RATIONALS)), *draw(_flag("index", INDICES))]
+        argv = [f"--machine={rng.choice(MACHINES)}", value,
+                f"--max-rounds={rng.randint(0, 24)}",
+                *_flag(rng, "eps", _rational), *_flag(rng, "index", _index)]
     else:
-        points = st.fixed_dictionaries({
-            "point": RATIONALS,
-            "name_kind": st.one_of(st.sampled_from(["exact", "grid"]),
-                                   st.text(max_size=5)),
-        })
-        corpus = draw(st.one_of(st.lists(points, max_size=3).map(json.dumps),
-                                st.text(max_size=12)))
-        argv = [f"--machine={draw(MACHINES)}",
+        if rng.random() < 0.5:
+            points = [{"point": _rational(rng),
+                       "name_kind": (rng.choice(["exact", "grid"])
+                                     if rng.random() < 0.5 else _text(rng, 5))}
+                      for _ in range(rng.randint(0, 3))]
+            corpus = json.dumps(points)
+        else:
+            corpus = _text(rng, 12)
+        argv = [f"--machine={rng.choice(MACHINES)}",
                 f"--corpus={os.path.join(workdir, 'corpus.json')}",
-                f"--fuel-cap={draw(st.integers(0, 8))}"]
-    argv += draw(_flag("format", st.sampled_from(["json", "text"])))
-    argv += draw(_flag("output", st.sampled_from(
+                f"--fuel-cap={rng.randint(0, 8)}"]
+    argv += _flag(rng, "format", lambda r: r.choice(["json", "text"]))
+    argv += _flag(rng, "output", lambda r: r.choice(
         [os.path.join(workdir, "out.json"),
-         os.path.join(workdir, "missing", "out.json")])))
+         os.path.join(workdir, "missing", "out.json")]))
     return [command, *argv], corpus
 
 
@@ -113,13 +150,13 @@ def _address_space_cap(extra: int):
 
 def test_no_argument_vector_raises():
     started = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="contmach-fuzz-") as workdir:
-
-        @settings(derandomize=True, max_examples=250, deadline=None,
-                  database=None)
-        @given(argument_vectors(workdir))
-        def run(case):
-            argv, corpus = case
+    rng = random.Random(SEED)
+    commands = set()
+    with tempfile.TemporaryDirectory(prefix="contmach-fuzz-") as workdir, \
+            _address_space_cap(2 ** 30):
+        for _ in range(VECTORS):
+            argv, corpus = argument_vector(rng, workdir)
+            commands.add(argv[0])
             if corpus is not None:
                 with open(os.path.join(workdir, "corpus.json"), "w",
                           encoding="utf-8") as handle:
@@ -131,14 +168,26 @@ def test_no_argument_vector_raises():
                 except SystemExit as exc:
                     code = exc.code
             assert code in (0, 1, 2), argv
-
-        set_hypothesis_home_dir(workdir)
-        try:
-            with _address_space_cap(2 ** 30):
-                run()
-        finally:
-            set_hypothesis_home_dir(None)
+    assert commands == {"invert", "sign", "compose", "associate-trace", "check"}
     assert time.perf_counter() - started < 10
+
+
+def test_fuzz_vectors_are_seeded_and_reach_every_range():
+    # The same seed gives the same vectors; they reach every index range,
+    # three-stage pipelines, 0 and the exponent bomb.
+    rng_a, rng_b = random.Random(SEED), random.Random(SEED)
+    vectors = [argument_vector(rng_a, "w") for _ in range(VECTORS)]
+    assert vectors == [argument_vector(rng_b, "w") for _ in range(VECTORS)]
+    flags = [arg for argv, _ in vectors for arg in argv]
+    indices = [int(arg.split("=", 1)[1]) for arg in flags
+               if arg.startswith("--index=")]
+    assert any(index >= 10 ** 20 for index in indices)
+    assert any(14_280 <= index <= 14_290 for index in indices)
+    assert any(index <= 64 for index in indices)
+    assert any(arg.startswith("--pipeline=") and arg.count("|") == 2
+               for arg in flags)
+    values = {arg.split("=", 1)[1] for arg in flags if arg.startswith("--value=")}
+    assert values >= {"0", "1e99999999"}
 
 
 DERIVED_TOO_LONG = ("contmach: error: the run derived a rational too long to "
