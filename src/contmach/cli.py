@@ -8,6 +8,7 @@ byte-deterministic for fixed flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -275,8 +276,16 @@ def _run_check(parser, args) -> tuple[dict, bool]:
     return doc, not report.failures
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # Built on first use, not at import; parsing neither mutates it nor keeps
+    # state between calls, and it holds no library callable.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; call it repeatedly, its parser is built on first use; exit 0/1/2."""
+    parser = _parser()
     args = parser.parse_args(argv)
     runners = {
         "invert": _run_invert,

@@ -348,3 +348,61 @@ def test_output_file_and_text_format(tmp_path, capsys):
         '  attempts: [{"n": 0, "result": "1/2", "modulus": ["1/1", "1/2"]}]\n'
         '  final: "1/2"\n'
         '  fuel_cap: 2\n')
+
+
+def run_in_process(argv, capsys):
+    """What a process running ``contmach argv`` would show, from ``main``."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return cli_diff.Outcome(code, captured.out.encode(), captured.err.encode())
+
+
+@pytest.fixture
+def corpus_dir(tmp_path, monkeypatch):
+    """A working directory holding the corpus file ``cli_diff``'s vectors read."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / cli_diff.CORPUS).write_text(json.dumps(cli_diff.CORPUS_POINTS),
+                                            encoding="utf-8")
+    return tmp_path
+
+
+def test_one_process_replays_every_vector_in_either_order(corpus_dir, capsys):
+    # One main, one parser: no run may leave state that changes a later one.
+    vectors = cli_diff.vectors()
+    forward = {tuple(argv): run_in_process(argv, capsys) for argv in vectors}
+    backward = {tuple(argv): run_in_process(argv, capsys)
+                for argv in reversed(vectors)}
+    assert cli_diff.differences(forward, backward) == []
+
+
+def test_one_process_matches_fresh_processes(corpus_dir, capsys):
+    success = ["compose", "--pipeline", "invert|invert", "--value", "7/5",
+               "--eps", "1/1024"]
+    for argv in [success,
+                 ["invert", "--value", "zebra", "--eps", "1"],
+                 ["invert", "--value", "2", "--eps", "1",
+                  "--output", "missing/x.json"],
+                 success]:
+        fresh = cli_diff.run_one(cli_diff.ROOT, corpus_dir, argv)
+        assert run_in_process(argv, capsys) == fresh, argv
+
+
+def test_main_builds_its_parser_at_most_once(monkeypatch, capsys):
+    built = []
+    init = contmach.cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        # Subcommand parsers are _Parsers too; a build makes one "contmach".
+        if kwargs.get("prog") == "contmach":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(contmach.cli._Parser, "__init__", counting_init)
+    assert run_cli(capsys, "sign", "--value", "1", "--max-effort", "2")[0] == 0
+    assert run_cli(capsys, "invert", "--value", "2", "--eps", "1",
+                   "--max-effort", "2")[0] == 0
+    assert len(built) <= 1
+    assert build_parser() is not build_parser()

@@ -152,15 +152,17 @@ class Outcome(NamedTuple):
     stderr: bytes
 
 
+def run_one(checkout: Path, workdir: Path, argv: list) -> Outcome:
+    """One vector's outcome in a fresh process on the package in ``checkout``."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run([sys.executable, "-m", "contmach.cli", *argv],
+                          cwd=workdir, env=env, capture_output=True)
+    return Outcome(proc.returncode, proc.stdout, proc.stderr)
+
+
 def run_all(checkout: Path, workdir: Path) -> dict:
     """Each vector's outcome on the package in ``checkout``, by vector."""
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    outcomes = {}
-    for argv in vectors():
-        proc = subprocess.run([sys.executable, "-m", "contmach.cli", *argv],
-                              cwd=workdir, env=env, capture_output=True)
-        outcomes[tuple(argv)] = Outcome(proc.returncode, proc.stdout, proc.stderr)
-    return outcomes
+    return {tuple(argv): run_one(checkout, workdir, argv) for argv in vectors()}
 
 
 def differences(parent: dict, change: dict) -> list:
