@@ -378,12 +378,19 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     outer machine is silent, and from there on the padded oracle agrees with
     psi on that list, so self-modulation and monotonicity make the outer
     machine answer as on psi.  Each intermediate question is settled once
-    per evaluation, also through nested composites.  The record's modulus at
-    effort n settles the outer machine up to n on the padded answers the
-    inner records give at n (a value whose settled effort is at most n),
-    and concatenates the inner records' lists at n for the questions on the
-    outer modulus list there.  A stage without a ``settle`` of its own is
-    scanned along efforts 0..cap, its modulus called at the effort asked.
+    per evaluation, also through nested composites, and the outer machine is
+    settled on psi once per question.  The record's modulus at effort n
+    concatenates the inner records' lists at n for the questions on one
+    outer list: the outer modulus at n on the padded answers the inner
+    records give at n (a value whose settled effort is at most n).  That
+    oracle agrees with psi on the list psi's outer record gives at n unless
+    a question on it first answers above n, so self-modulation lets the
+    record's list stand in; only where one does is the outer machine
+    settled again, up to n on the padded answers at n.  Where no
+    intermediate question ever answers, as on 0 for chains of inverses, a
+    trace therefore makes the settle's raw calls and no more.  A stage
+    without a ``settle`` of its own is scanned along efforts 0..cap, its
+    modulus called at the effort asked.
     """
     if inner.out_space and outer.in_space and inner.out_space != outer.in_space:
         raise ValueError(
@@ -429,10 +436,15 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
 
             return answer
 
+        def answers_above(question, effort):
+            # Whether the inner machine first answers ``question`` above
+            # ``effort``, but within the cap.
+            found = inner_settled(question).found
+            return found is not None and found.effort > effort
+
         outer_settled = settle_outer(padded_by(answer_at(cap)), cap)
 
-        def first(question) -> Optional[Evaluation]:
-            record = outer_settled(question)
+        def first(record) -> Optional[Evaluation]:
             found = record.found
             if found is None:
                 return None
@@ -445,13 +457,17 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
             return Evaluation(found.value, effort)
 
         def settled(question) -> _Settled:
+            record = outer_settled(question)
+
             def modulus_at(effort):
-                outer_at = settle_outer(padded_by(answer_at(effort)),
-                                        effort)(question)
-                return [collected for needed in outer_at.modulus(effort)
+                outer_list = record.modulus(effort)
+                if any(answers_above(needed, effort) for needed in outer_list):
+                    outer_list = settle_outer(padded_by(answer_at(effort)),
+                                              effort)(question).modulus(effort)
+                return [collected for needed in outer_list
                         for collected in inner_settled(needed).modulus(effort)]
 
-            return _Settled(first(question), modulus_at)
+            return _Settled(first(record), modulus_at)
 
         return settled
 

@@ -21,6 +21,11 @@ from .spaces import RepresentedSpace
 # Inversion on rationally approximated reals
 
 
+def _rational(value) -> Fraction:
+    """An oracle answer as a Fraction, without copying one that already is."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def inversion_machine() -> ContinuousMachine:
     """Multiplicative inverse, driven by a positivity margin at scale 2^-n.
 
@@ -36,20 +41,25 @@ def inversion_machine() -> ContinuousMachine:
     associate's modulus walk puts behind a composite; the machine stays
     silent then, and its modulus still lists both questions, so it still
     modulates itself.
+
+    Silence is decided by an exact integer comparison: for an approximation
+    p/q, delta <= 0 exactly when |p| * 2^n <= q, so the margin itself is
+    computed only when the machine answers.
     """
 
     def query_point(phi, effort, accuracy):
         scale = Fraction(1, 2 ** effort)
-        margin = abs(Fraction(phi(scale))) - scale
-        if margin <= 0:
+        approx = _rational(phi(scale))
+        if abs(approx.numerator) << effort <= approx.denominator:
             return scale, None
+        margin = abs(approx) - scale
         return scale, min(margin, accuracy * margin * margin) / 2
 
     def machine(phi, effort, accuracy):
         _, point = query_point(phi, effort, accuracy)
         if point is None:
             return None
-        approximation = Fraction(phi(point))
+        approximation = _rational(phi(point))
         return None if approximation == 0 else 1 / approximation
 
     def modulus(phi, effort, accuracy):
@@ -71,14 +81,14 @@ def sign_machine() -> ContinuousMachine:
     The output name's entry at index k is settled as soon as the 2^-k
     approximation clears three times the scale, which also forces the output
     names to be monotone.  The machine is total and effort-independent: the
-    entry value itself carries the partial information.
+    entry value itself carries the partial information.  The test is an
+    exact integer comparison: for an approximation p/q, |p| * 2^k > 3q.
     """
 
     def machine(phi, effort, index):
-        scale = Fraction(1, 2 ** index)
-        approx = Fraction(phi(scale))
-        if abs(approx) > 3 * scale:
-            return approx > 0
+        approx = _rational(phi(Fraction(1, 2 ** index)))
+        if abs(approx.numerator) << index > 3 * approx.denominator:
+            return approx.numerator > 0
         return OPT_NONE
 
     def modulus(phi, effort, index):

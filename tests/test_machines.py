@@ -567,12 +567,39 @@ def test_evaluate_traced_raw_call_count():
                                     16, "linear")
     assert result is None
     assert len(trace["attempts"]) == 17
-    assert calls == [2533]
+    assert calls == [595]
+
+
+@pytest.mark.parametrize("depth, cap, expected", [(2, 32, 1122), (3, 16, 595),
+                                                   (4, 6, 154)])
+def test_divergent_composite_trace_makes_only_the_settles_calls(depth, cap,
+                                                                expected):
+    # On 0 no intermediate question is ever answered, so every attempt's
+    # modulus is read off the outer records of the one settle: the trace
+    # makes exactly evaluate's raw machine calls, and one raw modulus call
+    # per raw machine call.
+    def chain(calls):
+        def stage():
+            return use_first(counting_machine(inversion_machine(), calls))
+
+        composite = stage()
+        for _ in range(depth - 1):
+            composite = compose_monotone(stage(), composite, Fraction(0))
+        return composite
+
+    phi = exact_name(Fraction(0))
+    evaluated, traced = [0, 0], [0, 0]
+    assert evaluate(chain(evaluated), phi, Fraction(1, 8), cap, "linear") is None
+    result, trace = evaluate_traced(chain(traced), phi, Fraction(1, 8), cap,
+                                    "linear")
+    assert result is None
+    assert len(trace["attempts"]) == cap + 1
+    assert evaluated[0] == traced[0] == traced[1] == expected
 
 
 @pytest.mark.parametrize("twin_outer, settled, on_zero, on_seven_fifths", [
-    (True, (43, 1), (1547, 442), (12, 8)),
-    (False, (463, 1), (4403, 1938), (11, 9)),
+    (True, (43, 1), (578, 442), (8, 8)),
+    (False, (463, 1), (4250, 1802), (8, 6)),
 ])
 def test_composite_with_scan_stage_raw_call_counts(twin_outer, settled,
                                                    on_zero, on_seven_fifths):

@@ -123,6 +123,85 @@ def test_sign_modulus_self_modulating():
 
 
 # ---------------------------------------------------------------------------
+# The integer silence and sign tests against the Fraction-margin formulas
+
+
+def reference_inversion(phi, effort, accuracy):
+    # (machine, modulus) at one effort, by the margin |a| - 2^-n as a Fraction.
+    scale = Fraction(1, 2 ** effort)
+    margin = abs(Fraction(phi(scale))) - scale
+    if margin <= 0:
+        return None, [scale]
+    point = min(margin, accuracy * margin * margin) / 2
+    approximation = Fraction(phi(point))
+    return (None if approximation == 0 else 1 / approximation), [scale, point]
+
+
+def reference_sign(phi, index):
+    scale = Fraction(1, 2 ** index)
+    approx = Fraction(phi(scale))
+    if abs(approx) > 3 * scale:
+        return approx > 0
+    return OPT_NONE
+
+
+KERNEL_SEED = 20_261_018
+
+
+def kernel_value(rng, boundary):
+    # An oracle answer at, next to or far from ``boundary``, as a Fraction or
+    # an int, with either sign.
+    kind = rng.randrange(6)
+    if kind == 0:
+        value = boundary
+    elif kind == 1:
+        # A neighbour: the boundary moved by one unit of a finer grid.
+        value = boundary + rng.choice((-1, 1)) * Fraction(1, 2 ** rng.randrange(1, 260))
+    elif kind == 2:
+        # The nearest fractions with one more or one less in the numerator.
+        value = Fraction(boundary.numerator * 7 + rng.choice((-1, 1)),
+                         boundary.denominator * 7)
+    elif kind == 3:
+        value = 0
+    elif kind == 4:
+        value = rng.randrange(-5, 6)
+    else:
+        value = Fraction(rng.randrange(-10 ** 6, 10 ** 6),
+                         rng.randrange(1, 2 ** rng.randrange(1, 220)))
+    return rng.choice((-1, 1)) * value
+
+
+def test_inversion_kernel_equals_fraction_margin():
+    rng = random.Random(KERNEL_SEED)
+    cm = inversion_machine()
+    for _ in range(4000):
+        effort = rng.randrange(201)
+        first = kernel_value(rng, Fraction(1, 2 ** effort))
+        later = rng.choice((first, 0, 1, kernel_value(rng, Fraction(1, 2 ** effort))))
+        accuracy = Fraction(rng.randrange(1, 10 ** 4), rng.randrange(1, 10 ** 4))
+        scale = Fraction(1, 2 ** effort)
+
+        def phi(question):
+            return first if question == scale else later
+
+        expected = reference_inversion(phi, effort, accuracy)
+        assert (cm.machine(phi, effort, accuracy),
+                cm.modulus(phi, effort, accuracy)) == expected, (first, effort)
+
+
+def test_sign_kernel_equals_fraction_margin():
+    rng = random.Random(KERNEL_SEED + 1)
+    cm = sign_machine()
+    for _ in range(4000):
+        index = rng.randrange(201)
+        value = kernel_value(rng, 3 * Fraction(1, 2 ** index))
+        phi = constant_oracle(value)
+        assert cm.machine(phi, 0, index) is reference_sign(phi, index), \
+            (value, index)
+        assert cm.modulus(phi, 0, index) == [Fraction(1, 2 ** index)]
+
+
+# ---------------------------------------------------------------------------
 # Finite multifunctions
 
 
