@@ -346,8 +346,13 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def _rational(value) -> Fraction:
+    """``value`` as a Fraction, without copying one that already is."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def format_rational(value) -> str:
-    value = Fraction(value)
+    value = _rational(value)
     try:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:

@@ -61,9 +61,55 @@ _BUILTINS = {
 }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_indent2(value, pad: str = "") -> str:
+    """Exactly ``json.dumps(value, indent=2)``, for the types the CLI prints.
+
+    It takes dicts with ``str`` keys, lists and tuples, ``str``, ``int``,
+    ``bool`` and None, and raises ``TypeError`` on any other type (the
+    escaper raises it for a key that is not a string).  On Python 3.11
+    ``json.dumps`` encodes in C only without ``indent``; this writer escapes
+    each string in C and renders a list of strings, such as a trace's
+    modulus list, in one join.  ``pad`` is the indentation of the line
+    ``value`` starts on.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    separator = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            body = separator.join(map(_encode_str, value))
+        except TypeError:  # an item that is not a string
+            body = separator.join([_json_indent2(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = separator.join([f"{_encode_str(key)}: {_json_indent2(item, inner)}"
+                               for key, item in value.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(parser, args, doc: dict) -> None:
+    """Write ``doc`` as ``json.dumps(doc, indent=2)`` or as text lines, to
+    stdout or ``--output``; the JSON comes from ``_json_indent2``, whose cost
+    follows the size of the document."""
     if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_indent2(doc) + "\n"
     else:
         text = "".join(_text_lines(doc))
     if args.output is None:

@@ -210,21 +210,21 @@ def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
     computes each raw modulus once and a composite reuses its stages'
     records; a machine without a ``settle`` has its modulus called at every
     attempt.  Values and questions are rendered with ``encode_value``, each
-    question object once per trace.
+    question object once per trace: a memo keyed by the object's identity
+    is read inline for every modulus entry, and ``kept`` holds every encoded
+    object, so no id is reused while the trace is built, even where a
+    modulus builds fresh questions on every call.
     """
     efforts = effort_schedule(fuel_cap, schedule)
     result, modulus = _evaluation(machine_like, phi, question, efforts)
     if result is not None:
         efforts = efforts[:efforts.index(result.effort) + 1]
-    encoded = {}
+    encoded, kept = {}, []
 
     def encode(needed):
-        # Keyed by identity; the entry keeps the object alive, so its id is
-        # not reused while the trace is built.
-        entry = encoded.get(id(needed))
-        if entry is None:
-            entry = encoded[id(needed)] = (needed, encode_value(needed))
-        return entry[1]
+        kept.append(needed)
+        text = encoded[id(needed)] = encode_value(needed)
+        return text
 
     attempts = []
     for effort in efforts:
@@ -232,7 +232,9 @@ def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
         attempt = {"n": effort,
                    "result": encode_value(result.value) if answered else "none"}
         if modulus is not None:
-            attempt["modulus"] = [encode(needed) for needed in modulus(effort)]
+            attempt["modulus"] = [
+                encoded[key] if (key := id(needed)) in encoded else encode(needed)
+                for needed in modulus(effort)]
         attempts.append(attempt)
     trace = {
         "effort_schedule": schedule,
@@ -436,12 +438,6 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
 
             return answer
 
-        def answers_above(question, effort):
-            # Whether the inner machine first answers ``question`` above
-            # ``effort``, but within the cap.
-            found = inner_settled(question).found
-            return found is not None and found.effort > effort
-
         outer_settled = settle_outer(padded_by(answer_at(cap)), cap)
 
         def first(record) -> Optional[Evaluation]:
@@ -460,12 +456,16 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
             record = outer_settled(question)
 
             def modulus_at(effort):
-                outer_list = record.modulus(effort)
-                if any(answers_above(needed, effort) for needed in outer_list):
+                # The inner records of the outer list, looked up once; they
+                # are looked up again only for a re-settled list.
+                inner_records = list(map(inner_settled, record.modulus(effort)))
+                if any(found is not None and found.effort > effort
+                       for found, _ in inner_records):
                     outer_list = settle_outer(padded_by(answer_at(effort)),
                                               effort)(question).modulus(effort)
-                return [collected for needed in outer_list
-                        for collected in inner_settled(needed).modulus(effort)]
+                    inner_records = map(inner_settled, outer_list)
+                return [collected for inner_record in inner_records
+                        for collected in inner_record.modulus(effort)]
 
             return _Settled(first(record), modulus_at)
 

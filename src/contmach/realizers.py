@@ -12,18 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .alphabets import OPT_NONE, NameOracle, encode_value, parse_rational
+from .alphabets import (OPT_NONE, NameOracle, _rational, encode_value,
+                        parse_rational)
 from .machines import ContinuousMachine, evaluate
 from .spaces import RepresentedSpace
 
 
 # ---------------------------------------------------------------------------
 # Inversion on rationally approximated reals
-
-
-def _rational(value) -> Fraction:
-    """An oracle answer as a Fraction, without copying one that already is."""
-    return value if type(value) is Fraction else Fraction(value)
 
 
 def inversion_machine() -> ContinuousMachine:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import sys
 import time
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 import contmach.cli
 from contmach import machine_to_associate, parse_rational, use_first
-from contmach.cli import build_parser, main
+from contmach.cli import _json_indent2, build_parser, main
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
 
@@ -362,10 +363,9 @@ def run_in_process(argv, capsys):
 
 @pytest.fixture
 def corpus_dir(tmp_path, monkeypatch):
-    """A working directory holding the corpus file ``cli_diff``'s vectors read."""
+    """A working directory holding the corpus files ``cli_diff``'s vectors read."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / cli_diff.CORPUS).write_text(json.dumps(cli_diff.CORPUS_POINTS),
-                                            encoding="utf-8")
+    cli_diff.write_corpora(tmp_path)
     return tmp_path
 
 
@@ -406,3 +406,63 @@ def test_main_builds_its_parser_at_most_once(monkeypatch, capsys):
                    "--max-effort", "2")[0] == 0
     assert len(built) <= 1
     assert build_parser() is not build_parser()
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer equals json.dumps(doc, indent=2)
+
+#: Characters that need escaping or stress it: a quote, a backslash, every
+#: control character, DEL, non-ASCII, a line separator, an astral character
+#: (a surrogate pair once escaped) and a lone surrogate.
+_WRITER_CHARS = ("a", "Z", "0", " ", "/", '"', "\\", *map(chr, range(32)),
+                 "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800")
+
+
+def _writer_string(rng):
+    return "".join(rng.choice(_WRITER_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _writer_doc(rng, depth=0):
+    kind = rng.randrange(10 if depth < 4 else 4)
+    if kind == 0:
+        return _writer_string(rng)
+    if kind == 1:
+        return rng.choice([0, 1, -1, 2 ** 64, -(2 ** 100),
+                           rng.randrange(-10 ** 30, 10 ** 30)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    size = rng.randrange(5)
+    if kind == 4:
+        return [_writer_string(rng) for _ in range(size)]
+    if kind in (5, 6):
+        return [_writer_doc(rng, depth + 1) for _ in range(size)]
+    if kind == 7:
+        return tuple(_writer_doc(rng, depth + 1) for _ in range(size))
+    return {_writer_string(rng): _writer_doc(rng, depth + 1) for _ in range(size)}
+
+
+def test_json_writer_matches_json_dumps_on_random_documents():
+    rng = random.Random(14)
+    mismatches = [doc for doc in (_writer_doc(rng) for _ in range(3000))
+                  if _json_indent2(doc) != json.dumps(doc, indent=2)]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), "", [[]], [{}], {"": {}}, [""], ["a", 1], [1, "a"], [True, "a"],
+    [None, "none"], ("a", "b"), ["\"\\", "\u00e9\U0001f600"],
+    {"k": [["x", "y"], [True, False, None]]}, 10 ** 200, -7,
+])
+def test_json_writer_matches_json_dumps_on_edge_cases(doc):
+    assert _json_indent2(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    0.0, 1.5, Fraction(1, 2), object(), [0.0], ["a", 0.0], ("a", object()),
+    {"a": Fraction(1, 3)}, {1: "a"}, {None: "a"}, b"a", [b"a"],
+])
+def test_json_writer_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        _json_indent2(doc)

@@ -519,6 +519,22 @@ def test_evaluate_traced_matches_attempt_loop_on_chains(depth, points, schedule)
                                     (-1, 0, 5, 16), schedule)
 
 
+def fresh_questions_modulus(phi, effort, question):
+    # New Fraction objects on every call, with values that change with the
+    # effort: once a list is dropped, the next call's objects may take the
+    # ids its objects had.
+    return [Fraction(effort, 3), Fraction(effort + 1, 7), Fraction(2 * effort, 5)]
+
+
+@pytest.mark.parametrize("schedule", ["linear", "powers_of_two"])
+def test_evaluate_traced_with_fresh_questions_every_attempt(schedule):
+    # The trace's encode memo is keyed by identity, so an id reused within
+    # one trace would print an earlier question's text.
+    machine_like = ContinuousMachine(step_machine(40), fresh_questions_modulus)
+    assert_traced_like_attempt_loop(machine_like, (Fraction(0),), (16, 64),
+                                    schedule)
+
+
 # The grid name of 0 answers every question like its exact name.
 TRACE_NAMES = [exact_name(Fraction(0))] + corpus_names((Fraction(7, 5),
                                                          Fraction(1, 10 ** 6)))

@@ -8,7 +8,7 @@ It runs ``python -m contmach.cli`` on one fixed list of argument vectors,
 once on the commit ``--base``, unpacked from ``git archive`` into a temporary
 directory that is deleted afterwards, and once on this checkout's working
 tree, so uncommitted edits are checked too.  Both sides run the same
-interpreter in the same working directory, which holds the corpus file the
+interpreter in the same working directory, which holds the corpus files the
 ``check`` vectors read.  It exits 1 and names every vector whose exit code,
 stdout or stderr differs.  Standard library only.
 """
@@ -28,6 +28,8 @@ from typing import NamedTuple
 from bench_pairs import ROOT, git, unpack
 
 CORPUS = "corpus.json"
+#: A second corpus, whose name the ``check`` output must escape.
+ESCAPED_CORPUS = 'corpus "quoted" \\ caf\u00e9.json'
 CORPUS_POINTS = [{"point": "2", "name_kind": "exact"},
                  {"point": "-7/5", "name_kind": "grid"}]
 
@@ -131,6 +133,11 @@ def vectors() -> list:
         for cap in ("0", "8"):
             runs.append(["check", "--machine", machine, "--corpus", CORPUS,
                          "--fuel-cap", cap])
+        runs.append(["check", "--machine", machine, "--corpus", ESCAPED_CORPUS])
+    for output in ("json", "text"):
+        runs.append(["compose", "--pipeline", "invert|invert|invert",
+                     "--value", "0", "--eps", "1/8", "--max-effort", "16",
+                     "--schedule", "linear", "--format", output])
     runs += [
         ["invert", "--value", "2", "--eps", "1", "--max-effort", "2",
          "--format", "text"],
@@ -144,6 +151,12 @@ def vectors() -> list:
         ["check", "--machine", "invert", "--corpus", CORPUS, "--format", "text"],
     ]
     return runs
+
+
+def write_corpora(workdir: Path) -> None:
+    """Write the corpus files the ``check`` vectors read into ``workdir``."""
+    for name in (CORPUS, ESCAPED_CORPUS):
+        (workdir / name).write_text(json.dumps(CORPUS_POINTS), encoding="utf-8")
 
 
 class Outcome(NamedTuple):
@@ -191,7 +204,7 @@ def main(argv=None) -> int:
         parent_dir, workdir = Path(tmp, "parent"), Path(tmp, "work")
         unpack(base, parent_dir)
         workdir.mkdir()
-        (workdir / CORPUS).write_text(json.dumps(CORPUS_POINTS), encoding="utf-8")
+        write_corpora(workdir)
         parent = run_all(parent_dir, workdir)
         change = run_all(ROOT, workdir)
     lines = differences(parent, change)
