@@ -351,6 +351,32 @@ def _rational(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
+#: Exponents below this share one Fraction 2^-n (see ``_scale``).
+_SCALE_BOUND = 1024
+
+#: The shared 2^-n for each exponent n below _SCALE_BOUND asked for so far.
+_SCALES: dict = {}
+
+
+def _scale(n: int) -> Fraction:
+    """``Fraction(1, 2 ** n)``: below _SCALE_BOUND the one shared object.
+
+    Every dyadic question the realizers ask is built here, so a hashed
+    lookup of a question seen before (a transcript index, a padded oracle,
+    a settle cache) finds the very key object and skips ``Fraction.__eq__``.
+    Identity is only a fast path: ``==`` and ``hash`` stay the contract.
+    The table is keyed by n and filled with ``setdefault``, so any visiting
+    order, and concurrent callers, agree on one object per n; exponents at
+    or above the bound get a fresh Fraction and are never stored.
+    """
+    scale = _SCALES.get(n)
+    if scale is None:
+        scale = Fraction(1, 2 ** n)
+        if n < _SCALE_BOUND:
+            scale = _SCALES.setdefault(n, scale)
+    return scale
+
+
 def format_rational(value) -> str:
     value = _rational(value)
     try:

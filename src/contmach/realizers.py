@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .alphabets import (OPT_NONE, NameOracle, _rational, encode_value,
+from .alphabets import (OPT_NONE, NameOracle, _rational, _scale, encode_value,
                         parse_rational)
 from .machines import ContinuousMachine, evaluate
 from .spaces import RepresentedSpace
@@ -44,7 +44,7 @@ def inversion_machine() -> ContinuousMachine:
     """
 
     def query_point(phi, effort, accuracy):
-        scale = Fraction(1, 2 ** effort)
+        scale = _scale(effort)
         approx = _rational(phi(scale))
         if abs(approx.numerator) << effort <= approx.denominator:
             return scale, None
@@ -82,13 +82,13 @@ def sign_machine() -> ContinuousMachine:
     """
 
     def machine(phi, effort, index):
-        approx = _rational(phi(Fraction(1, 2 ** index)))
+        approx = _rational(phi(_scale(index)))
         if abs(approx.numerator) << index > 3 * approx.denominator:
             return approx.numerator > 0
         return OPT_NONE
 
     def modulus(phi, effort, index):
-        return [Fraction(1, 2 ** index)]
+        return [_scale(index)]
 
     return ContinuousMachine(machine, modulus, "rational_reals", "kleenean_names")
 

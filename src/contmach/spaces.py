@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .alphabets import (OPT_NONE, Alphabet, NameOracle, STAR,
+from .alphabets import (OPT_NONE, Alphabet, NameOracle, STAR, _scale,
                         booleans_alphabet, naturals_alphabet,
                         one_point_alphabet, opt_alphabet, pair_alphabet,
                         rationals_alphabet)
@@ -21,7 +21,7 @@ from .machines import (ContinuousMachine, MonotoneMachine, evaluate,
                        monotone_machine, use_first)
 
 #: Accuracy questions sampled by the rational-real name check: 1, 1/2, …, 2^-20.
-RATIONAL_NAME_SCALES = tuple(Fraction(1, 2 ** k) for k in range(21))
+RATIONAL_NAME_SCALES = tuple(_scale(k) for k in range(21))
 
 #: Length of the sequence prefix inspected by the Kleenean name check.
 KLEENEAN_PREFIX = 64
@@ -93,7 +93,7 @@ def rational_reals() -> RepresentedSpace:
 
     return RepresentedSpace(
         "rational_reals", rationals, rationals, is_name, answer_ok,
-        (Fraction(1), Fraction(1, 2 ** 10), Fraction(1, 2 ** 30)))
+        (_scale(0), _scale(10), _scale(30)))
 
 
 # ---------------------------------------------------------------------------

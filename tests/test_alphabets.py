@@ -1,8 +1,12 @@
 import itertools
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from contmach import alphabets
 from contmach import (FiniteFunction, OPT_NONE, STAR, booleans_alphabet,
                       constant_oracle, encode_value, extend_with_default,
                       format_rational, list_diff, lookup, naturals_alphabet,
@@ -268,6 +272,68 @@ def test_parse_and_format_rational():
     for bomb in ("1e99999999", "-1_0e99_999_999", "1.5E-99999999"):
         with pytest.raises(ValueError, match="^rational too long"):
             parse_rational(bomb)
+
+
+# ---------------------------------------------------------------------------
+# Shared dyadic questions
+
+
+def test_scale_is_two_to_the_minus_n_in_any_visiting_order(monkeypatch):
+    # A fresh table filled in a shuffled order: a cache keyed by position
+    # rather than by n would hand out a wrong power somewhere.
+    monkeypatch.setattr(alphabets, "_SCALES", {})
+    exponents = list(range(1101))
+    random.Random(1024).shuffle(exponents)
+    for n in exponents:
+        assert alphabets._scale(n) == Fraction(1, 2 ** n), n
+    for n in range(1101):
+        assert alphabets._scale(n) == Fraction(1, 2 ** n), n
+
+
+def test_scale_is_shared_below_the_bound_only():
+    bound = alphabets._SCALE_BOUND
+    assert bound == 1024
+    for n in (0, 1, 31, 256, bound - 1):
+        assert alphabets._scale(n) is alphabets._scale(n)
+        assert alphabets._SCALES[n] is alphabets._scale(n)
+    for n in (bound, bound + 1, 1100):
+        first, second = alphabets._scale(n), alphabets._scale(n)
+        assert first == second == Fraction(1, 2 ** n)
+        assert first is not second
+        assert n not in alphabets._SCALES
+
+
+def test_scale_threads_filling_one_table_agree_on_one_object(monkeypatch):
+    monkeypatch.setattr(alphabets, "_SCALES", {})
+    seen = [[] for _ in range(4)]
+
+    def fill(into, seed):
+        exponents = list(range(alphabets._SCALE_BOUND))
+        random.Random(seed).shuffle(exponents)
+        into.extend((n, alphabets._scale(n)) for n in exponents)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=fill, args=(into, seed))
+                   for seed, into in enumerate(seen)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for into in seen:
+        assert len(into) == alphabets._SCALE_BOUND
+        for n, scale in into:
+            assert scale is alphabets._SCALES[n]
+            assert scale == Fraction(1, 2 ** n)
+
+
+def test_scale_never_stores_an_exponent_at_or_above_the_bound():
+    alphabets._scale(5000)
+    assert max(alphabets._SCALES, default=0) < alphabets._SCALE_BOUND
 
 
 def test_encode_value():

@@ -201,6 +201,19 @@ def test_sign_kernel_equals_fraction_margin():
         assert cm.modulus(phi, 0, index) == [Fraction(1, 2 ** index)]
 
 
+def test_moduli_ask_one_shared_question_per_effort():
+    # Built by alphabets._scale: the same object across calls and across
+    # separately built machines, so hashed lookups match it by identity.
+    phi = exact_name(Fraction(7, 5))
+    for build in (inversion_machine, sign_machine):
+        first, second = build(), build()
+        for effort in (0, 5, 31, 256):
+            question = first.modulus(phi, effort, effort)[0]
+            assert question == Fraction(1, 2 ** effort)
+            assert first.modulus(phi, effort, effort)[0] is question
+            assert second.modulus(phi, effort, effort)[0] is question
+
+
 # ---------------------------------------------------------------------------
 # Finite multifunctions
 

@@ -122,6 +122,10 @@ def vectors() -> list:
                      "--index", index])
         runs.append(["associate-trace", "--machine", "sign", "--value", "1",
                      "--index", index])
+    # Efforts on both sides of 1,024, below which dyadic questions are shared.
+    runs.append(["invert", f"--value=1/{2 ** 1100}", "--eps", "1",
+                 "--max-effort", "2048"])
+    runs.append(["sign", "--value", "1", "--max-effort", "1100"])
     for rounds in ("6", "24"):
         for point in ("0", "7/5", "-1/1000000"):
             runs.append(["associate-trace", "--machine", "invert",
