@@ -7,19 +7,24 @@ lookup, so duplicated questions are harmless and transcripts can simply be
 appended to.  Equality of questions and answers is Python ``==``, the
 decidable equality the paper assumes of every alphabet.
 
-First-match lookup reads a hashed index from each question to its first
-answer, built once per table (and extended, not rebuilt, when a transcript
-grows), so a lookup costs one hash whatever the table's length.  Questions
-must therefore be hashable, with ``hash`` agreeing with ``==``; every shipped
-alphabet meets this, and ``compose_monotone``'s cache needs it already.
+First-match lookup reads a hashed index from each question's key to its
+first answer, built once per table (and extended, not rebuilt, when a
+transcript grows), so a lookup costs one key whatever the table's length.
+The key (``_key``) of an int, a bool or a Fraction is built from its
+numerator and denominator, so no lookup pays ``Fraction.__hash__``, and two
+questions get equal keys exactly when they are ``==``.  Questions of any
+other type key as themselves, so they must be hashable, with ``hash``
+agreeing with ``==``; every shipped alphabet meets this.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -176,10 +181,9 @@ class FiniteFunction:
 
     ``size`` counts list entries, not distinct questions; lookups return the
     answer of the first entry whose question matches.  They read a private
-    index from each question to its first answer, built on first use and
-    extended by ``append_pairs``, so questions must be hashable with
-    ``hash`` agreeing with ``==``.  Equality, ``repr`` and hashing are those
-    of ``entries`` alone.
+    index from each question's key (``_key``) to its first answer, built on
+    first use and extended by ``append_pairs``.  Equality, ``repr`` and
+    hashing are those of ``entries`` alone.
     """
 
     entries: tuple = ()
@@ -201,29 +205,68 @@ class FiniteFunction:
         pairs = tuple(pairs)
         grown = FiniteFunction(self.entries + pairs)
         # Seed the cached index from this one's: the copy keeps the stored
-        # hashes, so only the new pairs are hashed.
+        # hashes, so only the new pairs are keyed.
         grown.__dict__["_index"] = _first_answers(pairs, self._index)
         return grown
 
 
+#: Tags the key of a non-integral rational, so no tuple question equals it.
+_NUMERIC = object()
+
+
+def _key(question):
+    """The hashed index's key for ``question``: equal exactly when ``==`` is.
+
+    An int, a bool and a Fraction with denominator 1 key as the integer; any
+    other Fraction as (_NUMERIC, numerator, denominator, and the
+    denominator's bit length), whose hash is computed in C, not by
+    ``Fraction.__hash__``'s modular inverse, and does not repeat every 61
+    exponents as a dyadic Fraction's does.  Exact types are tested first;
+    the exact Fraction type stores its terms in the slots read here, which
+    costs half of what its ``numerator`` and ``denominator`` properties do.
+    """
+    kind = type(question)
+    if kind is Fraction:
+        denominator = question._denominator
+        if denominator == 1:
+            return question._numerator
+        return (_NUMERIC, question._numerator, denominator, denominator.bit_length())
+    if kind is int or kind is bool:
+        return question
+    return _other_key(question)
+
+
+def _other_key(question):
+    """``_key`` of any other type: a finite real equal to a rational keys as
+    that rational, everything else (STAR, tuples, OPT_NONE, NaN) as itself."""
+    if isinstance(question, complex) and not question.imag:
+        question = question.real
+    if isinstance(question, (numbers.Rational, float, Decimal)):
+        try:
+            return _key(Fraction(question))
+        except (ValueError, OverflowError):
+            pass
+    return question
+
+
 def _first_answers(pairs: Sequence, first: dict | None = None) -> dict:
-    """Map each question of ``pairs`` to its first answer, on top of a copy
-    of ``first``; an earlier entry always wins."""
+    """Map each question's key in ``pairs`` to its first answer, on top of a
+    copy of ``first``; an earlier entry always wins."""
     first = {} if first is None else first.copy()
     for question, answer in pairs:
-        first.setdefault(question, answer)
+        first.setdefault(_key(question), answer)
     return first
 
 
 def lookup(finite_fn: FiniteFunction, question):
     """First-match lookup; returns None when the question is unbound."""
-    return finite_fn._index.get(question)
+    return finite_fn._index.get(_key(question))
 
 
 def extend_with_default(finite_fn: FiniteFunction, default_answer) -> NameOracle:
     """Totalize a finite sub-function by answering everything else with a default."""
     index = finite_fn._index
-    return lambda question: index.get(question, default_answer)
+    return lambda question: index.get(_key(question), default_answer)
 
 
 def restriction_eq(phi: NameOracle, psi: NameOracle, questions: Sequence) -> bool:
@@ -263,14 +306,13 @@ def override_oracle(base: NameOracle, table: Sequence) -> NameOracle:
 
     The table's first-match index is built once, when the oracle is made,
     by the index construction that every lookup helper above shares, so a
-    query costs one hash of the question; a bound None answer still wins
-    over the base.  Questions must be hashable, with ``hash`` agreeing with
-    ``==``.
+    query costs one key of the question (``_key``); a bound None answer
+    still wins over the base.
     """
     first = _first_answers(table)
 
     def oracle(question):
-        answer = first.get(question, _UNBOUND)
+        answer = first.get(_key(question), _UNBOUND)
         return base(question) if answer is _UNBOUND else answer
 
     return oracle
@@ -361,17 +403,16 @@ _SCALES: dict = {}
 def _scale(n: int) -> Fraction:
     """``Fraction(1, 2 ** n)``: below _SCALE_BOUND the one shared object.
 
-    Every dyadic question the realizers ask is built here, so a hashed
-    lookup of a question seen before (a transcript index, a padded oracle,
-    a settle cache) finds the very key object and skips ``Fraction.__eq__``.
-    Identity is only a fast path: ``==`` and ``hash`` stay the contract.
-    The table is keyed by n and filled with ``setdefault``, so any visiting
-    order, and concurrent callers, agree on one object per n; exponents at
-    or above the bound get a fresh Fraction and are never stored.
+    Every dyadic question the realizers ask is built here, with the power
+    of two as a shift, so the questions of one effort are one object and
+    ``evaluate_traced``'s id-keyed encode memo encodes each once.  The table
+    is keyed by n and filled with ``setdefault``, so any visiting order, and
+    concurrent callers, agree on one object per n; exponents at or above the
+    bound get a fresh Fraction and are never stored.
     """
     scale = _SCALES.get(n)
     if scale is None:
-        scale = Fraction(1, 2 ** n)
+        scale = Fraction(1, 1 << n)
         if n < _SCALE_BOUND:
             scale = _SCALES.setdefault(n, scale)
     return scale

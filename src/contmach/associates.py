@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .alphabets import (FiniteFunction, NameOracle, encode_value,
-                        extend_with_default, list_diff)
+from .alphabets import (FiniteFunction, NameOracle, _key, encode_value,
+                        extend_with_default)
 from .machines import (Evaluation, MonotoneMachine, _Settled,
                        _SettlingMachine, _with_modulus)
 
@@ -91,9 +91,11 @@ def machine_to_associate(machine_like, question_default, answer_default) -> Asso
     takes ~E raw calls.
 
     The padded oracle and the check for unbound questions both read the
-    transcript's first-match index, so each costs one hash per question
-    rather than a scan of the transcript; questions must be hashable, with
-    ``hash`` agreeing with ``==``.
+    transcript's first-match index, so each costs one key per question
+    (``alphabets._key``) rather than a scan of the transcript.  At each
+    effort the machine is asked right after its modulus, on the same padded
+    oracle and question, so a machine that keeps its modulus's query, as
+    ``inversion_machine`` does, asks the padding once per effort.
     """
     machine_like = getattr(machine_like, "_first_of", None) or machine_like
     machine, modulus = _with_modulus(machine_like, "machine_to_associate")
@@ -103,7 +105,7 @@ def machine_to_associate(machine_like, question_default, answer_default) -> Asso
         bound = state._index
         for effort in range(state.size + 1):
             needed = modulus(padded, effort, question)
-            missing = list_diff(needed, bound)
+            missing = [q for q in needed if _key(q) not in bound]
             if missing:
                 return Query(tuple(missing))
             value = machine(padded, effort, question)

@@ -201,7 +201,7 @@ def _question(parser, args, space_out):
         # 2^index has at most ``limit`` digits below 3 * limit and more
         # above 4 * limit.
         if limit and args.index >= 3 * limit and (
-                args.index > 4 * limit or 2 ** args.index >= 10 ** limit):
+                args.index > 4 * limit or 1 << args.index >= 10 ** limit):
             raise _RationalTooLong("rational too long to print as p/q")
         return args.index
     if args.eps is None:

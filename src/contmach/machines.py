@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .alphabets import Alphabet, NameOracle, encode_value, restriction_eq
+from .alphabets import Alphabet, NameOracle, _key, encode_value, restriction_eq
 
 MachineFn = Callable[[NameOracle, int, object], object]
 ModulusFn = Callable[[NameOracle, int, object], Sequence]
@@ -370,7 +370,8 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     one the inner machine has actually answered at effort n, so the padding
     can never influence a returned value.  The intermediate answer set is
     never materialized; membership is decided per question, and inner
-    results are memoized within a single composite call.
+    results are cached within a single composite call, the settle's records
+    by each question's ``alphabets._key``.
 
     Its ``settle`` runs the outer machine once on the limit oracle psi: the
     padded answers the inner records give at the cap.  The composite first
@@ -427,7 +428,14 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     settle_inner, settle_outer = _settle_fn(inner), _settle_fn(outer)
 
     def composite_settle(phi, cap):
-        inner_settled = functools.cache(settle_inner(phi, cap))
+        settle_one, records = settle_inner(phi, cap), {}
+
+        def inner_settled(question) -> _Settled:
+            key = _key(question)
+            record = records.get(key)
+            if record is None:
+                record = records[key] = settle_one(question)
+            return record
 
         def answer_at(effort):
             # The inner machine's answers at ``effort``, read off its records.

@@ -41,7 +41,16 @@ def inversion_machine() -> ContinuousMachine:
     Silence is decided by an exact integer comparison: for an approximation
     p/q, delta <= 0 exactly when |p| * 2^n <= q, so the margin itself is
     computed only when the machine answers.
+
+    ``modulus`` keeps its last query in one slot, (phi, effort, accuracy,
+    point); ``machine`` reuses it when asked for the same oracle and
+    accuracy objects at an equal effort, as an associate's walk asks at
+    each effort, and otherwise queries afresh.  Names are pure functions,
+    so the reuse changes no value; ``machine`` never fills the slot, so a
+    scan that only calls ``machine`` queries exactly as without it.  The
+    slot holds phi, so its identity cannot pass to another oracle.
     """
+    slot = None
 
     def query_point(phi, effort, accuracy):
         scale = _scale(effort)
@@ -52,14 +61,21 @@ def inversion_machine() -> ContinuousMachine:
         return scale, min(margin, accuracy * margin * margin) / 2
 
     def machine(phi, effort, accuracy):
-        _, point = query_point(phi, effort, accuracy)
+        held = slot
+        if (held is not None and held[0] is phi and held[2] is accuracy
+                and held[1] == effort):
+            point = held[3]
+        else:
+            _, point = query_point(phi, effort, accuracy)
         if point is None:
             return None
         approximation = _rational(phi(point))
         return None if approximation == 0 else 1 / approximation
 
     def modulus(phi, effort, accuracy):
+        nonlocal slot
         scale, point = query_point(phi, effort, accuracy)
+        slot = (phi, effort, accuracy, point)
         if point is None:
             return [scale]
         return [scale, point]

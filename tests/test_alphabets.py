@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -71,7 +72,8 @@ def test_extend_agrees_with_lookup_on_bound_questions():
 # must share one index entry; None is a bound answer that must still win
 # over the fallback or base.
 MIXED_QUESTIONS = (0, False, Fraction(0), 1, True, Fraction(1))
-MIXED_PROBES = MIXED_QUESTIONS + (2, Fraction(1, 2), "q")
+MIXED_PROBES = MIXED_QUESTIONS + (2, Fraction(1, 2), "q", 0.0, 1.0,
+                                  Decimal(1), (1, 1), OPT_NONE)
 
 
 def scan_bound(ff, question):
@@ -296,7 +298,7 @@ def test_scale_is_shared_below_the_bound_only():
     for n in (0, 1, 31, 256, bound - 1):
         assert alphabets._scale(n) is alphabets._scale(n)
         assert alphabets._SCALES[n] is alphabets._scale(n)
-    for n in (bound, bound + 1, 1100):
+    for n in (bound, bound + 1, 1100, 10_007, 20_000):
         first, second = alphabets._scale(n), alphabets._scale(n)
         assert first == second == Fraction(1, 2 ** n)
         assert first is not second
@@ -334,6 +336,89 @@ def test_scale_threads_filling_one_table_agree_on_one_object(monkeypatch):
 def test_scale_never_stores_an_exponent_at_or_above_the_bound():
     alphabets._scale(5000)
     assert max(alphabets._SCALES, default=0) < alphabets._SCALE_BOUND
+
+
+# ---------------------------------------------------------------------------
+# Question keys
+
+
+class SubFraction(Fraction):
+    pass
+
+
+# Questions of every kind the index meets, equal across types where the
+# values are; the tuple (1, 1) is a pair question, not the rational 1.
+KINDS = [0, False, Fraction(0), 1, True, Fraction(1), 3, 3.0, Fraction(3),
+         Fraction(1, 2), 0.5, Decimal("0.5"), SubFraction(1, 2), SubFraction(3),
+         Decimal(3), float("inf"), (1, 1), (Fraction(1, 2), 0), STAR, OPT_NONE]
+DYADIC = [alphabets._scale(n) for n in range(1001)]
+KEY_QUESTIONS = KINDS + DYADIC
+
+
+def test_key_is_equal_exactly_when_the_questions_are():
+    keys = [alphabets._key(q) for q in KEY_QUESTIONS]
+    for a, key_a in zip(KEY_QUESTIONS, keys):
+        for b, key_b in zip(KEY_QUESTIONS, keys):
+            assert (key_a == key_b) == (a == b), (a, b)
+            if key_a == key_b:
+                assert hash(key_a) == hash(key_b), (a, b)
+
+
+def test_key_of_a_float_or_decimal_with_no_rational_value_is_itself():
+    nan = float("nan")
+    assert alphabets._key(nan) is nan
+    assert alphabets._key(-float("inf")) == -float("inf")
+    assert alphabets._key(Decimal("Infinity")) == Decimal("Infinity")
+    assert alphabets._key(complex(0.5, 0)) == alphabets._key(Fraction(1, 2))
+    assert alphabets._key(complex(0.5, 1)) == complex(0.5, 1)
+
+
+def test_index_helpers_agree_with_a_first_match_scan_on_every_kind_of_key():
+    # Dyadic questions 61 exponents apart have equal Fraction hashes.
+    rng = random.Random(16)
+    drawn = KINDS + DYADIC[:4] + DYADIC[-70:]
+    probes = KINDS + [DYADIC[n] for n in (2, 63, 64, 1000)]
+    for _ in range(300):
+        entries = tuple((rng.choice(drawn), rng.choice((None, "x", "y")))
+                        for _ in range(rng.randrange(12)))
+        cut = rng.randrange(len(entries) + 1)
+        grown = FiniteFunction(entries[:cut]).append_pairs(entries[cut:])
+        padded = extend_with_default(grown, "d")
+        spliced = override_oracle(lambda question: "base", entries)
+        for question in probes + list(grown.questions()):
+            want, bound = scan_lookup(grown, question), scan_bound(grown, question)
+            assert lookup(grown, question) == want, (entries, question)
+            assert lookup(FiniteFunction(entries), question) == want
+            assert padded(question) == (want if bound else "d")
+            assert spliced(question) == (want if bound else "base")
+
+
+def test_lookups_of_dyadic_questions_call_no_fraction_eq_or_hash(monkeypatch):
+    # Dyadic Fractions hash alike every 61 exponents, so a dict keyed by them
+    # compares colliding keys with Fraction.__eq__ (~3.7 calls per lookup at
+    # 512 keys); their keys are compared as integers instead.
+    questions = DYADIC[:1000]
+    table = [(q, n) for n, q in enumerate(questions)]
+    ff = FiniteFunction(()).append_pairs(table)
+    padded = extend_with_default(ff, -1)
+    spliced = override_oracle(lambda question: -1, table)
+    calls = []
+    eq, hash_ = Fraction.__eq__, Fraction.__hash__
+
+    def counted_eq(self, other):
+        calls.append("eq")
+        return eq(self, other)
+
+    def counted_hash(self):
+        calls.append("hash")
+        return hash_(self)
+
+    monkeypatch.setattr(Fraction, "__eq__", counted_eq)
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    for n, question in enumerate(questions):
+        assert lookup(ff, question) == padded(question) == spliced(question) == n
+    assert padded(alphabets._scale(1000)) == spliced(alphabets._scale(1000)) == -1
+    assert calls == []
 
 
 def test_encode_value():

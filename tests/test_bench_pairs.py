@@ -1,4 +1,5 @@
-"""``tools/bench_pairs.py``'s verdict on one metric, without running a benchmark."""
+"""``tools/bench_pairs.py``'s verdict on one metric and its reading of a run's
+stderr, without running a benchmark."""
 
 import importlib.util
 from pathlib import Path
@@ -55,3 +56,21 @@ def test_wide_parent_spread_is_unresolved_unless_separated(better, separated):
     apart = bench_pairs.compare(metric(better), WIDE, [separated] * 10)
     assert not apart["unresolved"]
     assert apart["pairs_change_better"] == 10
+
+
+# The summary ``perfbench/run.py`` prints on stderr, as of a 20 s run.
+STDERR = (
+    "dialogue seed 301: 66 ops x 393 passes in 20.0 s, 7 ops beyond p90, "
+    "error_rate 0.0000; unscaled ops_per_s 3243.10, p50 0.2101 ms, "
+    "p90 0.6312 ms; calibration 1.02 ms [0.98, 1.30]; python 3.11.7, "
+    "nproc 2, loadavg 0.52 0.40 0.33\n")
+
+
+def test_pass_count_is_read_from_the_summary():
+    assert bench_pairs.passes(STDERR) == 393
+    assert bench_pairs.passes("warming up\n" + STDERR.replace("393", "7")) == 7
+
+
+def test_missing_pass_count_is_an_error():
+    with pytest.raises(RuntimeError, match="no pass count"):
+        bench_pairs.passes("dialogue seed 301: 66 ops in 20.0 s\n")

@@ -1,14 +1,19 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
+from contmach import associates
+from contmach.alphabets import _scale
 from contmach import (FiniteMultifunction, INVERSION_POINTS, OPT_NONE,
                       SIGN_POINTS, check_realizer, chooses_through,
-                      constant_oracle, corpus_sample, exact_name, grid_name,
-                      inversion_machine, load_corpus, mf_compose,
-                      monotone_machine, override_oracle, rational_reals,
-                      restriction_eq, sign_kleenean, sign_machine,
-                      standard_corpus, kleeneans, tightens, use_first)
+                      constant_oracle, corpus_sample, dialogue_trace, evaluate,
+                      evaluate_traced, exact_name, grid_name,
+                      inversion_machine, load_corpus, machine_to_associate,
+                      mf_compose, monotone_machine, override_oracle,
+                      rational_reals, restriction_eq, sign_kleenean,
+                      sign_machine, standard_corpus, kleeneans, tightens,
+                      use_first)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +208,7 @@ def test_sign_kernel_equals_fraction_margin():
 
 def test_moduli_ask_one_shared_question_per_effort():
     # Built by alphabets._scale: the same object across calls and across
-    # separately built machines, so hashed lookups match it by identity.
+    # separately built machines, so a trace encodes it once.
     phi = exact_name(Fraction(7, 5))
     for build in (inversion_machine, sign_machine):
         first, second = build(), build()
@@ -212,6 +217,108 @@ def test_moduli_ask_one_shared_question_per_effort():
             assert question == Fraction(1, 2 ** effort)
             assert first.modulus(phi, effort, effort)[0] is question
             assert second.modulus(phi, effort, effort)[0] is question
+
+
+# ---------------------------------------------------------------------------
+# The inversion machine's query slot
+
+
+def test_query_slot_never_returns_a_stale_point():
+    # ``modulus`` fills the slot and ``machine`` reads it: every call, in
+    # any order, must read as the Fraction-margin reference does.
+    rng = random.Random(KERNEL_SEED + 2)
+    cm = inversion_machine()
+    names = [exact_name(Fraction(7, 5)), grid_name(Fraction(-2, 3))]
+    eighths = [Fraction(1, 8), Fraction(1, 8), Fraction(1, 3)]
+    assert eighths[0] is not eighths[1]
+
+    def draw(name, effort, accuracy):
+        # Keep each argument of the previous call or draw it afresh; a fresh
+        # name is a new object that no slot can hold.
+        kept = rng.random() < 0.7
+        if rng.random() < 0.1:
+            name = exact_name(Fraction(rng.randrange(-9, 10), rng.randrange(1, 9)))
+        elif not kept or rng.random() < 0.2:
+            name = rng.choice(names)
+        if not kept or rng.random() < 0.3:
+            effort = rng.randrange(12)
+        if not kept or rng.random() < 0.3:
+            accuracy = rng.choice(eighths)
+        return name, effort, accuracy
+
+    args = (names[0], 0, eighths[0])
+    for _ in range(4000):
+        args = draw(*args)
+        calls = [("modulus", args), ("machine", draw(*args))]
+        if rng.random() < 0.2:
+            calls.reverse()
+        for kind, (name, effort, accuracy) in calls:
+            got = getattr(cm, kind)(name, effort, accuracy)
+            value, modulus = reference_inversion(name, effort, accuracy)
+            assert got == (value if kind == "machine" else modulus), \
+                (kind, effort, accuracy)
+
+
+def counting(name):
+    # ``name`` and the list of questions put to it.
+    asked = []
+
+    def counted(question):
+        asked.append(question)
+        return name(question)
+
+    return counted, asked
+
+
+def test_associate_walk_asks_each_scale_once_per_effort(monkeypatch):
+    # At each effort the walk asks the modulus and then the machine on one
+    # padded name; the machine reuses the modulus's scale query.
+    pad, padded_names = associates.extend_with_default, []
+
+    def extend(state, default):
+        padded, asked = counting(pad(state, default))
+        padded_names.append(asked)
+        return padded
+
+    monkeypatch.setattr(associates, "extend_with_default", extend)
+    effort_of = {id(_scale(n)): n for n in range(64)}
+    for x in (Fraction(0), Fraction(7, 5), Fraction(1, 10 ** 6)):
+        padded_names.clear()
+        transcript = dialogue_trace(machine_to_associate(inversion_machine(), 0, 0),
+                                    exact_name(x), Fraction(1, 8), 40)
+        assert len(padded_names) == len(transcript.rounds)
+        for asked in padded_names:
+            efforts = [effort_of[id(q)] for q in asked if id(q) in effort_of]
+            assert efforts == list(range(len(efforts))), x
+            assert max(Counter(asked).values()) == 1, x
+        assert transcript.answered == (x != 0)
+
+
+def reference_queries(name, effort, accuracy):
+    counted, asked = counting(name)
+    reference_inversion(counted, effort, accuracy)
+    return len(asked)
+
+
+def test_machine_only_scans_query_as_the_reference_does():
+    # ``machine`` never fills the slot, so a scan that calls only the
+    # machine asks the name once per query, as without the slot.
+    accuracy = Fraction(1, 8)
+    for x in (Fraction(0), Fraction(7, 5), Fraction(1, 10 ** 6)):
+        name, asked = counting(exact_name(x))
+        cm = inversion_machine()
+        for effort in list(range(40)) * 2:
+            cm.machine(name, effort, accuracy)
+        assert len(asked) == 2 * sum(reference_queries(exact_name(x), effort, accuracy)
+                                     for effort in range(40))
+    # A settled evaluation on 0 runs the machine once per effort.
+    name, asked = counting(exact_name(0))
+    assert evaluate(use_first(inversion_machine()), name, accuracy, 256) is None
+    assert len(asked) == 257
+    # A trace reads the modulus after the machine at each effort.
+    name, asked = counting(exact_name(Fraction(1, 10 ** 6)))
+    evaluate_traced(use_first(inversion_machine()), name, accuracy, 32)
+    assert len(asked) == 2 * 21 + 1
 
 
 # ---------------------------------------------------------------------------

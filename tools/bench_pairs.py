@@ -20,8 +20,10 @@ fixes, and whether the metric is unresolved: the parent's interquartile
 distance, relative to its median, is wider than that bound, so a change
 within the bound cannot be told from noise, and not every run of the change
 reads better than every run of the parent.  The seeds, the run order, the Python version and
-the load average before each run are recorded beside them.  Standard
-library only.
+the load average before each run are recorded beside them, and so is each
+run's pass count, read from the summary ``perfbench/run.py`` prints on
+stderr: a faster change makes more passes in a run of fixed length, which
+raises ``peak_rss_mb`` by itself.  Standard library only.
 
 It exits 1, after writing the file, when any run reports a wrong result,
 and names each such run's workload, side and seed on stderr.
@@ -34,6 +36,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -44,6 +47,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 FIRST_SEED = 301
+
+#: The pass count in a run's summary on stderr: "… 202 ops x 381 passes …".
+PASSES = re.compile(r" ops x (\d+) passes ")
 
 
 def git(*args: str) -> bytes:
@@ -68,7 +74,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                            f"{proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"correct": result["correct"], "failed": result["failed"],
+            "passes": passes(proc.stderr),
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def passes(stderr: str) -> int:
+    """The number of passes a run made, from its summary on stderr."""
+    match = PASSES.search(stderr)
+    if match is None:
+        raise RuntimeError(f"no pass count in the run's stderr:\n{stderr}")
+    return int(match.group(1))
 
 
 def summary(values: list) -> dict:
@@ -133,12 +148,13 @@ def main(argv=None) -> int:
                     if not runs[side][-1]["correct"]:
                         wrong.append(f"{workload} {side} seed {seed}")
                     print(f"{workload} seed {seed} {side}: ops_per_s "
-                          f"{runs[side][-1]['metrics']['ops_per_s']:.4g}",
-                          file=sys.stderr)
+                          f"{runs[side][-1]['metrics']['ops_per_s']:.4g}, "
+                          f"{runs[side][-1]['passes']} passes", file=sys.stderr)
             doc["workloads"][workload] = {
                 "load_average_1m_before_runs": loads,
                 "all_correct": all(r["correct"] for side in runs.values() for r in side),
                 "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
+                "passes": {side: [r["passes"] for r in rs] for side, rs in runs.items()},
                 "metrics": {
                     metric["name"]: compare(
                         metric, *([r["metrics"][metric["name"]] for r in runs[side]]
