@@ -15,7 +15,7 @@ from typing import Callable, Union
 from .alphabets import (FiniteFunction, NameOracle, _key, encode_value,
                         extend_with_default)
 from .machines import (Evaluation, MonotoneMachine, _Settled,
-                       _SettlingMachine, _with_modulus)
+                       _SettlingMachine, _parts)
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def machine_to_associate(machine_like, question_default, answer_default) -> Asso
     ``inversion_machine`` does, asks the padding once per effort.
     """
     machine_like = getattr(machine_like, "_first_of", None) or machine_like
-    machine, modulus = _with_modulus(machine_like, "machine_to_associate")
+    machine, modulus = _parts(machine_like, "machine_to_associate")
 
     def associate(state: FiniteFunction, question):
         padded = extend_with_default(state, answer_default)

@@ -89,21 +89,14 @@ def monotone_machine(machine: MachineFn, modulus: ModulusFn,
     return MonotoneMachine(machine, modulus, in_space, out_space)
 
 
-def _machine_fn(machine_like) -> MachineFn:
-    return machine_like.machine if hasattr(machine_like, "machine") else machine_like
-
-
-def _modulus_fn(machine_like) -> Optional[ModulusFn]:
-    return getattr(machine_like, "modulus", None)
-
-
-def _with_modulus(machine_like, combinator: str):
-    """``machine_like``'s machine and modulus; ``combinator`` names the
-    caller in the error raised when it has no modulus."""
-    modulus = _modulus_fn(machine_like)
-    if modulus is None:
+def _parts(machine_like, combinator: str = ""):
+    """``machine_like``'s machine and modulus: a bare callable is its own
+    machine and has no modulus.  A ``combinator`` that needs a modulus names
+    itself in the error raised when there is none."""
+    modulus = getattr(machine_like, "modulus", None)
+    if combinator and modulus is None:
         raise ValueError(f"{combinator} needs a machine with a modulus")
-    return machine_like.machine, modulus
+    return getattr(machine_like, "machine", machine_like), modulus
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +179,8 @@ def _scan_settle(machine_like, phi: NameOracle, efforts, question) -> _Settled:
     own: ``found`` is the first answer along ``efforts``, and ``modulus``
     calls the machine's modulus at the effort asked, or is None for a bare
     callable."""
-    modulus = _modulus_fn(machine_like)
-    return _Settled(_first_answer(_machine_fn(machine_like), phi, question, efforts),
+    machine, modulus = _parts(machine_like)
+    return _Settled(_first_answer(machine, phi, question, efforts),
                     None if modulus is None
                     else lambda effort: modulus(phi, effort, question))
 
@@ -256,27 +249,21 @@ def in_F_M(machine_like, phi: NameOracle, candidate: NameOracle,
 
     Every effort 0..cap is tried, whatever the schedule: membership asks for
     *some* effort whose answer matches, and a multivalued machine may give
-    that answer only at efforts a schedule skips.
+    that answer only at efforts a schedule skips.  Each question takes the
+    first answer along efforts 0..cap and, while it differs from the
+    candidate's, resumes that one search at the effort after it.
     """
-    machine = _machine_fn(machine_like)
-    holds = True
-    undecided = []
+    machine = _parts(machine_like)[0]
+    holds, undecided = True, []
     for question in questions:
         wanted = candidate(question)
-        matched = False
-        answered = False
-        for effort in range(fuel_cap + 1):
-            value = machine(phi, effort, question)
-            if value is None:
-                continue
-            answered = True
-            if value == wanted:
-                matched = True
-                break
-        if not matched:
-            holds = False
-            if not answered:
-                undecided.append(question)
+        found = _first_answer(machine, phi, question, range(fuel_cap + 1))
+        if found is None:
+            undecided.append(question)
+        while found is not None and not found.value == wanted:
+            found = _first_answer(machine, phi, question,
+                                  range(found.effort + 1, fuel_cap + 1))
+        holds = holds and found is not None
     return MembershipResult(holds, tuple(undecided))
 
 
@@ -304,7 +291,7 @@ def use_first(machine_like) -> MonotoneMachine:
     innermost one when ``use_first`` is nested); ``machine_to_associate``
     walks that machine instead, with the same consultations.
     """
-    machine, modulus = _with_modulus(machine_like, "use_first")
+    machine, modulus = _parts(machine_like, "use_first")
 
     def first_machine(phi, effort, question):
         found = _first_answer(machine, phi, question, range(effort + 1))
@@ -345,7 +332,7 @@ def derive_modulus_machine(machine_like) -> ContinuousMachine:
     Answers the modulus list (as a tuple) exactly at the efforts where the
     underlying machine answers; reuses the underlying modulus as its own.
     """
-    machine, modulus = _with_modulus(machine_like, "derive_modulus_machine")
+    machine, modulus = _parts(machine_like, "derive_modulus_machine")
 
     def list_machine(phi, effort, question):
         if machine(phi, effort, question) is None:
@@ -500,7 +487,7 @@ def brute_force_min_modulus(machine_like, domain: Sequence,
     means the machine is not continuous at this scale or the bound is too
     small.
     """
-    machine = _machine_fn(machine_like)
+    machine = _parts(machine_like)[0]
     domain = tuple(domain)
     prefixes = [question_alphabet.prefix(k) for k in range(enumeration_bound + 1)]
 

@@ -8,13 +8,13 @@ from fractions import Fraction
 import pytest
 
 from contmach import alphabets
-from contmach import (FiniteFunction, OPT_NONE, STAR, booleans_alphabet,
-                      constant_oracle, encode_value, extend_with_default,
-                      format_rational, list_diff, lookup, naturals_alphabet,
-                      one_point_alphabet, opt_alphabet, oracle_fixture,
-                      oracle_from_fixture, override_oracle, pair_alphabet,
-                      parse_rational, rationals_alphabet, restriction_eq,
-                      sublist, table_oracle)
+from contmach import (FiniteFunction, Kleenean, OPT_NONE, STAR,
+                      booleans_alphabet, constant_oracle, encode_value,
+                      extend_with_default, format_rational, list_diff, lookup,
+                      naturals_alphabet, one_point_alphabet, opt_alphabet,
+                      oracle_fixture, oracle_from_fixture, override_oracle,
+                      pair_alphabet, parse_rational, rationals_alphabet,
+                      restriction_eq, sublist, table_oracle)
 
 
 def scan_lookup(ff, question):
@@ -427,6 +427,9 @@ def test_encode_value():
     assert encode_value(True) is True
     assert encode_value((0, Fraction(1, 2))) == [0, "1/2"]
     assert encode_value(None) is None
+    assert repr(OPT_NONE) == "OPT_NONE"
+    # A value of no shipped type is rendered by ``str``.
+    assert encode_value(Kleenean.TRUE) == "Kleenean.TRUE"
 
 
 def test_oracle_fixture_round_trip():

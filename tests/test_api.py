@@ -1,6 +1,13 @@
-"""The package's public names: a refactor may add names, never drop one."""
+"""The package's public surface: a refactor may add names, never drop one,
+and the package and its tools import nothing outside the standard library."""
+
+import ast
+import pathlib
+import sys
 
 import contmach
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Every name ``contmach`` exported when this guard was written.
 EXPORTED = (
@@ -35,3 +42,27 @@ def test_exported_names_are_kept():
     assert len(EXPORTED) == 84
     missing = sorted(set(EXPORTED) - set(contmach.__all__))
     assert missing == []
+
+
+#: Absolute imports allowed besides the standard library: the package
+#: itself, and the module the tools share.
+OWN_MODULES = frozenset({"contmach", "bench_pairs"})
+
+
+def test_imports_are_stdlib_only():
+    sources = (sorted((ROOT / "src" / "contmach").glob("*.py"))
+               + sorted((ROOT / "tools").glob("*.py")))
+    assert {"machines.py", "cli.py", "bench_pairs.py"} <= {p.name for p in sources}
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [(path.name, module) for module in modules
+                        if module.partition(".")[0] not in OWN_MODULES
+                        and module.partition(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []

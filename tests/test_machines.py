@@ -9,8 +9,8 @@ from _families import (all_small_oracles, counting_machine, failure_example,
                        threshold_machine, ThresholdSpec, traced_by_attempts,
                        two_point_oracles)
 from contmach import (INVERSION_POINTS, OPT_NONE, SIGN_POINTS,
-                      ContinuousMachine, ModulusSearchError, STAR,
-                      brute_force_min_modulus, compose_monotone,
+                      ContinuousMachine, MembershipResult, ModulusSearchError,
+                      STAR, brute_force_min_modulus, compose_monotone,
                       constant_oracle, derive_modulus_machine,
                       effort_schedule, evaluate,
                       evaluate_traced, exact_name,
@@ -112,6 +112,114 @@ def test_in_F_M_self_consistency_on_monotone_machine():
         answers = {q: evaluate(mm, phi, q, 16).value for q in range(3)}
         result = in_F_M(mm, phi, lambda q: answers[q], range(3), 16)
         assert result.holds
+
+
+def scan_membership(machine_like, phi, candidate, questions, fuel_cap):
+    # Independent oracle for in_F_M: every effort 0..cap in one nested loop,
+    # stopping at the first answer that matches the candidate's.
+    machine = getattr(machine_like, "machine", machine_like)
+    holds = True
+    undecided = []
+    for question in questions:
+        wanted = candidate(question)
+        matched = False
+        answered = False
+        for effort in range(fuel_cap + 1):
+            value = machine(phi, effort, question)
+            if value is None:
+                continue
+            answered = True
+            if value == wanted:
+                matched = True
+                break
+        if not matched:
+            holds = False
+            if not answered:
+                undecided.append(question)
+    return MembershipResult(holds, tuple(undecided))
+
+
+def recorded(machine, calls):
+    # ``machine``, logging each raw call as (effort, question, value).
+    def logged(phi, effort, question):
+        value = machine(phi, effort, question)
+        calls.append((effort, question, value))
+        return value
+
+    return logged
+
+
+MEMBERSHIP_CAPS = (0, 3, 9, 24)
+
+
+def assert_member_like_scan(build, phi, candidate, questions):
+    # ``build(calls)`` makes the machine whose raw calls go to ``calls``;
+    # in_F_M must give the reference's result with the same raw calls.
+    # Returns the number of cases compared.
+    for cap in MEMBERSHIP_CAPS:
+        got_calls, want_calls = [], []
+        got = in_F_M(build(got_calls), phi, candidate, questions, cap)
+        want = scan_membership(build(want_calls), phi, candidate, questions,
+                               cap)
+        assert got == want, cap
+        assert got_calls == want_calls, cap
+    return len(MEMBERSHIP_CAPS)
+
+
+def test_in_F_M_matches_scan_on_threshold_families():
+    rng = random.Random(17)
+    specs = [random_threshold_spec(rng, allow_dead=True) for _ in range(16)]
+    assert any(spec.vary for spec in specs)
+    assert any(spec.dead_stride for spec in specs)
+    oracles = all_small_oracles()
+    cases = 0
+    for spec in specs:
+        cm = threshold_machine(spec)
+
+        def build(calls, cm=cm):
+            return ContinuousMachine(recorded(cm.machine, calls), cm.modulus)
+
+        for phi in rng.sample(oracles, 9):
+            for candidate in rng.sample(oracles, 4):
+                cases += assert_member_like_scan(build, phi, candidate,
+                                                 range(3))
+    assert cases >= 2000
+
+
+@pytest.mark.parametrize("point", [Fraction(0), Fraction(7, 5),
+                                   Fraction(1, 10 ** 6)])
+def test_in_F_M_matches_scan_on_inversion(point):
+    cm = inversion_machine()
+    questions = (Fraction(1), Fraction(1, 8), Fraction(1, 2 ** 30))
+
+    def first(calls):
+        return use_first(ContinuousMachine(recorded(cm.machine, calls),
+                                           cm.modulus))
+
+    def raw(calls):
+        return recorded(cm.machine, calls)
+
+    for phi in (exact_name(point), grid_name(point)):
+        settled = {q: evaluate(use_first(cm), phi, q, 24) for q in questions}
+        last = {q: cm.machine(phi, 24, q) for q in questions}
+        candidates = (lambda q: getattr(settled[q], "value", None),
+                      last.get, constant_oracle(Fraction(99)))
+        for candidate in candidates:
+            for build in (first, raw):
+                assert_member_like_scan(build, phi, candidate, questions)
+
+
+def test_in_F_M_resumes_after_a_wrong_answer():
+    # Multivalued: answers 1 at effort 0 and 7 at effort 3, silent elsewhere.
+    def machine(phi, effort, question):
+        return {0: 1, 3: 7}.get(effort)
+
+    phi, candidate = constant_oracle(0), constant_oracle(7)
+    assert in_F_M(machine, phi, candidate, ["q"], 5) == (True, ())
+    assert in_F_M(machine, phi, candidate, ["q"], 2) == (False, ())
+    assert in_F_M(machine, phi, constant_oracle(1), ["q"], 5) == (True, ())
+    assert_member_like_scan(lambda calls: recorded(machine, calls), phi,
+                            candidate, ["q", "r"])
 
 
 # ---------------------------------------------------------------------------
