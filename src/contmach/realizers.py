@@ -38,9 +38,16 @@ def inversion_machine() -> ContinuousMachine:
     silent then, and its modulus still lists both questions, so it still
     modulates itself.
 
-    Silence is decided by an exact integer comparison: for an approximation
-    p/q, delta <= 0 exactly when |p| * 2^n <= q, so the margin itself is
-    computed only when the machine answers.
+    The arithmetic runs on integers and builds one Fraction per returned
+    value.  Write the 2^-n approximation as p/q and the accuracy as a/d
+    (d = 1 for an int).  Then delta = mn/md with mn = |p| * 2^n - q and
+    md = q * 2^n, so the machine is silent exactly when mn <= 0, and
+    otherwise the query point is mn/(2 md) when d * md <= a * mn and
+    a * mn^2/(2 d md^2) otherwise; that one comparison picks the smaller
+    of delta and eps*delta^2 for every sign of a.  For a second
+    approximation p'/q' the answer is q'/p', and None when p' = 0.  An
+    accuracy that is neither an int nor a Fraction is read as the Fraction
+    of its exact value.
 
     ``modulus`` keeps its last query in one slot, (phi, effort, accuracy,
     point); ``machine`` reuses it when asked for the same oracle and
@@ -55,10 +62,16 @@ def inversion_machine() -> ContinuousMachine:
     def query_point(phi, effort, accuracy):
         scale = _scale(effort)
         approx = _rational(phi(scale))
-        if abs(approx.numerator) << effort <= approx.denominator:
+        q = approx.denominator
+        mn = (abs(approx.numerator) << effort) - q
+        if mn <= 0:
             return scale, None
-        margin = abs(approx) - scale
-        return scale, min(margin, accuracy * margin * margin) / 2
+        md = q << effort
+        accuracy = _rational(accuracy)
+        a, d = accuracy.numerator, accuracy.denominator
+        if d * md <= a * mn:
+            return scale, Fraction(mn, 2 * md)
+        return scale, Fraction(a * mn * mn, 2 * d * md * md)
 
     def machine(phi, effort, accuracy):
         held = slot
@@ -70,7 +83,8 @@ def inversion_machine() -> ContinuousMachine:
         if point is None:
             return None
         approximation = _rational(phi(point))
-        return None if approximation == 0 else 1 / approximation
+        p = approximation.numerator
+        return None if p == 0 else Fraction(approximation.denominator, p)
 
     def modulus(phi, effort, accuracy):
         nonlocal slot

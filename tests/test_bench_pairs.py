@@ -1,8 +1,10 @@
-"""``tools/bench_pairs.py``'s verdict on one metric and its reading of a run's
-stderr, without running a benchmark."""
+"""``tools/bench_pairs.py``'s verdict on one metric, its reading of a run's
+stderr and the environment of its runs, without running a benchmark."""
 
 import importlib.util
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -74,3 +76,32 @@ def test_pass_count_is_read_from_the_summary():
 def test_missing_pass_count_is_an_error():
     with pytest.raises(RuntimeError, match="no pass count"):
         bench_pairs.passes("dialogue seed 301: 66 ops in 20.0 s\n")
+
+
+def test_both_sides_run_without_cached_bytecode(monkeypatch, tmp_path):
+    # A checkout's ``__pycache__`` must not speed up its side: each run gets
+    # writing off and a fresh, empty bytecode cache outside both checkouts.
+    parent, change = tmp_path / "parent", bench_pairs.ROOT
+    calls = []
+
+    def run(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        calls.append((cwd, env["PYTHONDONTWRITEBYTECODE"], cache,
+                      cache.is_dir() and not any(cache.iterdir())))
+        result = {"correct": True, "failed": 0,
+                  "metrics": {"ops_per_s": {"value": 1.0, "unit": "1/s"}}}
+        return SimpleNamespace(returncode=0, stdout=json.dumps(result) + "\n",
+                               stderr=STDERR)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    for checkout in (parent, change, change, parent):
+        run_ = bench_pairs.run_once(checkout, "dialogue", 301, 1)
+        assert run_["passes"] == 393 and run_["metrics"] == {"ops_per_s": 1.0}
+    assert [cwd for cwd, *_ in calls] == [parent, change, change, parent]
+    caches = [cache for _, _, cache, _ in calls]
+    assert len(set(caches)) == len(caches)
+    for _, dont_write, cache, empty in calls:
+        assert dont_write == "1" and empty
+        for checkout in (parent, change):
+            assert checkout.resolve() not in cache.resolve().parents
+        assert not cache.exists()

@@ -194,6 +194,101 @@ def test_inversion_kernel_equals_fraction_margin():
                 cm.modulus(phi, effort, accuracy)) == expected, (first, effort)
 
 
+def answering_value(rng, scale):
+    # An approximation past the silence boundary, by a margin from far below
+    # the scale to far above it, with either sign; an int when it is one.
+    kind = rng.randrange(3)
+    if kind == 0:
+        margin = scale * Fraction(rng.randrange(1, 10 ** 6), rng.randrange(1, 10 ** 6))
+    elif kind == 1:
+        margin = Fraction(1, 2 ** rng.randrange(1400))
+    else:
+        margin = Fraction(rng.randrange(1, 6), rng.randrange(1, 50))
+    value = rng.choice((-1, 1)) * (scale + margin)
+    return int(value) if value.denominator == 1 else value
+
+
+def kernel_accuracy(rng, margin):
+    # Ints, 0 and negatives, the tie 1/margin, and Fractions either side of it.
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randrange(-4, 7)
+    if kind == 1:
+        tie = 1 / margin
+        return int(tie) if tie.denominator == 1 else tie
+    if kind == 2:
+        return rng.choice((-1, 1)) * Fraction(rng.randrange(1, 10 ** 4),
+                                              rng.randrange(1, 10 ** 4))
+    return (1 / margin) * Fraction(rng.randrange(1, 2 ** 20), 2 ** 19)
+
+
+def test_inversion_answers_equal_the_fraction_formula():
+    # Answering efforts, on both sides of the scale bound, checked by the
+    # machine before and after the modulus fills the slot.
+    rng = random.Random(KERNEL_SEED + 3)
+    cm = inversion_machine()
+    branches = Counter()
+    for _ in range(4800):
+        effort = rng.choice((rng.randrange(64), rng.randrange(1024, 1301)))
+        scale = Fraction(1, 2 ** effort)
+        first = answering_value(rng, scale)
+        margin = abs(Fraction(first)) - scale
+        accuracy = kernel_accuracy(rng, margin)
+        later = rng.choice((first, -first, 0, rng.randrange(-5, 6),
+                            kernel_value(rng, scale)))
+
+        def phi(question):
+            return first if question == scale else later
+
+        expected = reference_inversion(phi, effort, accuracy)
+        fresh = cm.machine(phi, effort, accuracy)
+        modulus = cm.modulus(phi, effort, accuracy)
+        assert (fresh, modulus) == expected, (first, effort, accuracy)
+        assert cm.machine(phi, effort, accuracy) == fresh, (first, effort, accuracy)
+        point = expected[1][1]
+        branches[(margin <= accuracy * margin * margin,
+                  margin == accuracy * margin * margin, point > 0)] += 1
+    # Each side of the comparison, the tie, and points <= 0 are all reached.
+    assert min(branches[key] for key in ((True, False, True), (False, False, True),
+                                         (True, True, True), (False, False, False))) > 100
+
+
+FRACTION_ARITHMETIC = ("__abs__", "__sub__", "__mul__", "__truediv__",
+                       "__rtruediv__", "__lt__", "__le__", "__eq__")
+
+
+def test_inversion_calls_no_fraction_arithmetic(monkeypatch):
+    # The machine and its modulus compute on integers and only construct
+    # Fractions, at silent and answering efforts alike.
+    cases = [(exact_name(x), effort, accuracy)
+             for x in (Fraction(7, 5), Fraction(-1, 10 ** 6), 3, -2, 0)
+             for accuracy in (Fraction(1, 8), Fraction(-3, 2), 1, 0, 4)
+             for effort in (0, 1, 5, 30, 1100)]
+    calls = []
+
+    def forbidden(method):
+        def raising(*args):
+            calls.append(method)
+            raise AssertionError(f"Fraction.{method} called")
+        return raising
+
+    for method in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, method, forbidden(method))
+    got = []
+    for name, effort, accuracy in cases:
+        cm = inversion_machine()
+        got.append((cm.machine(name, effort, accuracy), cm.modulus(name, effort, accuracy),
+                    cm.machine(name, effort, accuracy)))
+    monkeypatch.undo()
+    assert calls == []
+    for (name, effort, accuracy), (fresh, modulus, held) in zip(cases, got):
+        expected = reference_inversion(name, effort, accuracy)
+        assert (fresh, modulus) == expected and held == fresh
+    silent = sum(len(modulus) == 1 for _, modulus, _ in got)
+    assert 0 < silent < len(got)
+    assert any(value is not None for value, _, _ in got)
+
+
 def test_sign_kernel_equals_fraction_margin():
     rng = random.Random(KERNEL_SEED + 1)
     cm = sign_machine()

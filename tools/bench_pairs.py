@@ -10,7 +10,8 @@ pair per seed from 301 on, and alternates which side of a pair runs first.  The 
 commit ``--base``, unpacked from ``git archive`` into a temporary directory
 that is deleted afterwards; the change is this checkout's working tree, so
 uncommitted edits are measured too.  Both sides run the same interpreter
-with the same arguments.
+with the same arguments, and both from the same bytecode state: no run
+reads or writes cached bytecode, so both compile every module they import.
 
 It writes ``BENCH_<pr>.json`` at the root of the checkout: per workload and
 end-to-end metric, each side's runs, median and quartiles, the relative
@@ -64,11 +65,20 @@ def unpack(revision: str, into: Path) -> None:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its last line of output is a JSON object."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+    """One untraced benchmark run; its last line of output is a JSON object.
+
+    The run neither reads nor writes cached bytecode: its bytecode cache is
+    a fresh, empty directory outside both checkouts, and writing is off, so
+    each side compiles every module it imports, whatever ``__pycache__``
+    directories either checkout holds.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPYCACHEPREFIX": cache}
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout} {workload} seed {seed} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
