@@ -63,6 +63,12 @@ _BUILTINS = {
 
 _encode_str = json.encoder.encode_basestring_ascii
 
+#: The ASCII characters a JSON string escapes: the controls, DEL, the quote
+#: and the backslash.  An ASCII text is printable and free of the quote and
+#: the backslash when deleting these from its bytes leaves its length; that
+#: one pass of ``bytes.translate`` costs a third of ``str.isprintable``.
+_ESCAPED = bytes([*range(32), 127]) + b'"\\'
+
 
 def _json_indent2(value, pad: str = "") -> str:
     """Exactly ``json.dumps(value, indent=2)``, for the types the CLI prints.
@@ -70,38 +76,66 @@ def _json_indent2(value, pad: str = "") -> str:
     It takes dicts with ``str`` keys, lists and tuples, ``str``, ``int``,
     ``bool`` and None, and raises ``TypeError`` on any other type (the
     escaper raises it for a key that is not a string).  On Python 3.11
-    ``json.dumps`` encodes in C only without ``indent``; this writer escapes
-    each string in C and renders a list of strings, such as a trace's
-    modulus list, in one join.  ``pad`` is the indentation of the line
-    ``value`` starts on.
+    ``json.dumps`` encodes in C only without ``indent``; this writer
+    escapes each string in C and appends the document's text to one list
+    of parts, joined once at the end.  A list or tuple of strings whose
+    concatenation is ASCII, printable and free of ``"`` and ``\\``, such as
+    a trace's modulus list, needs no escaping and is written in one join;
+    any other list of strings is escaped item by item.  ``pad`` is the
+    indentation of the line ``value`` starts on.
     """
+    parts = []
+    _write_json(value, pad, parts)
+    return "".join(parts)
+
+
+def _write_json(value, pad: str, parts: list) -> None:
+    """Append ``_json_indent2(value, pad)`` to ``parts``, in pieces."""
     if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = pad + "  "
-    separator = ",\n" + inner
-    if isinstance(value, (list, tuple)):
+        parts.append(_encode_str(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            parts.append("[]")
+            return
+        inner = pad + "  "
+        separator = ",\n" + inner
+        parts.append("[\n" + inner)
         try:
-            body = separator.join(map(_encode_str, value))
+            text = "".join(value)
         except TypeError:  # an item that is not a string
-            body = separator.join([_json_indent2(item, inner) for item in value])
-        return f"[\n{inner}{body}\n{pad}]"
-    if isinstance(value, dict):
+            for index, item in enumerate(value):
+                if index:
+                    parts.append(separator)
+                _write_json(item, inner, parts)
+        else:
+            if text.isascii() and len(text.encode().translate(None, _ESCAPED)) == len(text):
+                parts.append('"' + ('"' + separator + '"').join(value) + '"')
+            else:
+                parts.append(separator.join(map(_encode_str, value)))
+        parts.append("\n" + pad + "]")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
-        body = separator.join([f"{_encode_str(key)}: {_json_indent2(item, inner)}"
-                               for key, item in value.items()])
-        return f"{{\n{inner}{body}\n{pad}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            parts.append("{}")
+            return
+        inner = pad + "  "
+        separator = ",\n" + inner
+        parts.append("{\n" + inner)
+        for index, (key, item) in enumerate(value.items()):
+            if index:
+                parts.append(separator)
+            parts.append(_encode_str(key) + ": ")
+            _write_json(item, inner, parts)
+        parts.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(parser, args, doc: dict) -> None:

@@ -11,6 +11,7 @@ oracle to every output oracle whose answers all show up at some effort.
 from __future__ import annotations
 
 import functools
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -206,13 +207,20 @@ def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
     question object once per trace: a memo keyed by the object's identity
     is read inline for every modulus entry, and ``kept`` holds every encoded
     object, so no id is reused while the trace is built, even where a
-    modulus builds fresh questions on every call.
+    modulus builds fresh questions on every call.  An attempt whose list
+    starts with the previous attempt's list object for object (compared by
+    ``is``, not ``==``, which would match 1 with Fraction(1)), as
+    ``use_first``'s lists do, reuses that attempt's texts and encodes only
+    the tail.  Each list is copied into a tuple when it is read, so a
+    modulus that changes a list it returned earlier cannot pass for an
+    extension.
     """
     efforts = effort_schedule(fuel_cap, schedule)
     result, modulus = _evaluation(machine_like, phi, question, efforts)
     if result is not None:
         efforts = efforts[:efforts.index(result.effort) + 1]
     encoded, kept = {}, []
+    previous, texts = (), []
 
     def encode(needed):
         kept.append(needed)
@@ -225,9 +233,14 @@ def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
         attempt = {"n": effort,
                    "result": encode_value(result.value) if answered else "none"}
         if modulus is not None:
-            attempt["modulus"] = [
+            listed = tuple(modulus(effort))
+            start = len(previous)
+            if len(listed) < start or not all(map(operator.is_, listed, previous)):
+                start, texts = 0, []
+            texts = attempt["modulus"] = texts + [
                 encoded[key] if (key := id(needed)) in encoded else encode(needed)
-                for needed in modulus(effort)]
+                for needed in listed[start:]]
+            previous = listed
         attempts.append(attempt)
     trace = {
         "effort_schedule": schedule,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .alphabets import (OPT_NONE, NameOracle, _rational, _scale, encode_value,
+from .alphabets import (_SCALES, OPT_NONE, NameOracle, _scale, encode_value,
                         parse_rational)
 from .machines import ContinuousMachine, evaluate
 from .spaces import RepresentedSpace
@@ -47,7 +47,10 @@ def inversion_machine() -> ContinuousMachine:
     of delta and eps*delta^2 for every sign of a.  For a second
     approximation p'/q' the answer is q'/p', and None when p' = 0.  An
     accuracy that is neither an int nor a Fraction is read as the Fraction
-    of its exact value.
+    of its exact value.  The terms are read from the ``_numerator`` and
+    ``_denominator`` slots of the exact Fraction type, which costs less
+    than its properties; an answer or accuracy of any other type is
+    converted to one first.
 
     ``modulus`` keeps its last query in one slot, (phi, effort, accuracy,
     point); ``machine`` reuses it when asked for the same oracle and
@@ -60,15 +63,20 @@ def inversion_machine() -> ContinuousMachine:
     slot = None
 
     def query_point(phi, effort, accuracy):
-        scale = _scale(effort)
-        approx = _rational(phi(scale))
-        q = approx.denominator
-        mn = (abs(approx.numerator) << effort) - q
+        scale = _SCALES.get(effort)
+        if scale is None:
+            scale = _scale(effort)
+        approx = phi(scale)
+        if type(approx) is not Fraction:
+            approx = Fraction(approx)
+        q = approx._denominator
+        mn = (abs(approx._numerator) << effort) - q
         if mn <= 0:
             return scale, None
         md = q << effort
-        accuracy = _rational(accuracy)
-        a, d = accuracy.numerator, accuracy.denominator
+        if type(accuracy) is not Fraction:
+            accuracy = Fraction(accuracy)
+        a, d = accuracy._numerator, accuracy._denominator
         if d * md <= a * mn:
             return scale, Fraction(mn, 2 * md)
         return scale, Fraction(a * mn * mn, 2 * d * md * md)
@@ -82,9 +90,11 @@ def inversion_machine() -> ContinuousMachine:
             _, point = query_point(phi, effort, accuracy)
         if point is None:
             return None
-        approximation = _rational(phi(point))
-        p = approximation.numerator
-        return None if p == 0 else Fraction(approximation.denominator, p)
+        approximation = phi(point)
+        if type(approximation) is not Fraction:
+            approximation = Fraction(approximation)
+        p = approximation._numerator
+        return None if p == 0 else Fraction(approximation._denominator, p)
 
     def modulus(phi, effort, accuracy):
         nonlocal slot
@@ -108,13 +118,21 @@ def sign_machine() -> ContinuousMachine:
     approximation clears three times the scale, which also forces the output
     names to be monotone.  The machine is total and effort-independent: the
     entry value itself carries the partial information.  The test is an
-    exact integer comparison: for an approximation p/q, |p| * 2^k > 3q.
+    exact integer comparison: for an approximation p/q, |p| * 2^k > 3q,
+    with p and q read from the slots of the exact Fraction type as in
+    ``inversion_machine``.
     """
 
     def machine(phi, effort, index):
-        approx = _rational(phi(_scale(index)))
-        if abs(approx.numerator) << index > 3 * approx.denominator:
-            return approx.numerator > 0
+        scale = _SCALES.get(index)
+        if scale is None:
+            scale = _scale(index)
+        approx = phi(scale)
+        if type(approx) is not Fraction:
+            approx = Fraction(approx)
+        p = approx._numerator
+        if abs(p) << index > 3 * approx._denominator:
+            return p > 0
         return OPT_NONE
 
     def modulus(phi, effort, index):

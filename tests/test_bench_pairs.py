@@ -105,3 +105,38 @@ def test_both_sides_run_without_cached_bytecode(monkeypatch, tmp_path):
         for checkout in (parent, change):
             assert checkout.resolve() not in cache.resolve().parents
         assert not cache.exists()
+
+
+@pytest.mark.parametrize("better, gain", [("lower", 90.0), ("higher", 110.0)])
+def test_gain_needs_nine_of_ten_pairs(better, gain):
+    nine = bench_pairs.compare(metric(better), PARENT, [gain] * 9 + [100.0])
+    assert nine["pairs_change_better"] == 9 and nine["gain"]
+    eight = bench_pairs.compare(metric(better), PARENT, [gain] * 8 + [100.0] * 2)
+    assert eight["pairs_change_better"] == 8 and not eight["gain"]
+    assert eight["relative_change"] == pytest.approx(gain / 100 - 1)
+
+
+@pytest.mark.parametrize("better, step", [("lower", -1.0), ("higher", 1.0)])
+def test_gain_needs_the_median_to_move_beyond_the_parent_iqr(better, step):
+    # Every pair won by a step far inside the parent's relative IQR (~0.43).
+    near = bench_pairs.compare(metric(better), WIDE, [p + step for p in WIDE])
+    assert near["pairs_change_better"] == 10
+    assert abs(near["relative_change"]) < near["parent_relative_iqr"]
+    assert not near["gain"]
+    # A move of exactly the IQR is not more than it; one unit further is.
+    iqr = 45.0
+    at = bench_pairs.compare(metric(better), WIDE,
+                             [p + step * iqr for p in WIDE])
+    assert abs(at["relative_change"]) == pytest.approx(at["parent_relative_iqr"])
+    assert at["pairs_change_better"] == 10 and not at["gain"]
+    beyond = bench_pairs.compare(metric(better), WIDE,
+                                 [p + step * (iqr + 1) for p in WIDE])
+    assert beyond["gain"]
+
+
+@pytest.mark.parametrize("better, worse", [("lower", 110.0), ("higher", 90.0)])
+def test_a_worse_change_is_no_gain(better, worse):
+    verdict = bench_pairs.compare(metric(better), PARENT, [worse] * 10)
+    assert verdict["pairs_change_better"] == 0 and not verdict["gain"]
+    # The same runs read the other way round are a gain.
+    assert bench_pairs.compare(metric(better), [worse] * 10, PARENT)["gain"]

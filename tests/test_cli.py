@@ -3,6 +3,7 @@ import pathlib
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -418,8 +419,14 @@ _WRITER_CHARS = ("a", "Z", "0", " ", "/", '"', "\\", *map(chr, range(32)),
                  "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800")
 
 
-def _writer_string(rng):
-    return "".join(rng.choice(_WRITER_CHARS) for _ in range(rng.randrange(6)))
+#: Characters JSON prints as they are, among them the neighbours of those it
+#: escapes: space and "~" (the ends of printable ASCII), "!" and "#" (the
+#: quote's), "[" and "]" (the backslash's).
+_PLAIN_CHARS = ("a", "Z", "0", "/", " ", "~", "!", "#", "[", "]")
+
+
+def _writer_string(rng, chars=_WRITER_CHARS):
+    return "".join(rng.choice(chars) for _ in range(rng.randrange(6)))
 
 
 def _writer_doc(rng, depth=0):
@@ -435,7 +442,8 @@ def _writer_doc(rng, depth=0):
         return None
     size = rng.randrange(5)
     if kind == 4:
-        return [_writer_string(rng) for _ in range(size)]
+        return [_writer_string(rng, rng.choice((_WRITER_CHARS, _PLAIN_CHARS)))
+                for _ in range(size)]
     if kind in (5, 6):
         return [_writer_doc(rng, depth + 1) for _ in range(size)]
     if kind == 7:
@@ -443,17 +451,47 @@ def _writer_doc(rng, depth=0):
     return {_writer_string(rng): _writer_doc(rng, depth + 1) for _ in range(size)}
 
 
+def _string_lists(value):
+    """Every non-empty list or tuple of strings in the document ``value``."""
+    if isinstance(value, (list, tuple)):
+        if value and all(isinstance(item, str) for item in value):
+            yield value
+            return
+    elif isinstance(value, dict):
+        value = value.values()
+    else:
+        return
+    for item in value:
+        yield from _string_lists(item)
+
+
+def _verbatim(strings) -> bool:
+    """json.dumps prints each of ``strings`` as it is, between quotes: their
+    concatenation is printable ASCII with no quote and no backslash."""
+    text = "".join(strings)
+    return (text.isascii() and text.isprintable() and '"' not in text
+            and "\\" not in text)
+
+
 def test_json_writer_matches_json_dumps_on_random_documents():
     rng = random.Random(14)
-    mismatches = [doc for doc in (_writer_doc(rng) for _ in range(3000))
-                  if _json_indent2(doc) != json.dumps(doc, indent=2)]
+    docs = [_writer_doc(rng) for _ in range(3000)]
+    mismatches = [doc for doc in docs if _json_indent2(doc) != json.dumps(doc, indent=2)]
     assert mismatches == []
+    # Both sides of the writer's one-join condition are well exercised.
+    paths = Counter(_verbatim(strings) for doc in docs for strings in _string_lists(doc))
+    assert paths[True] >= 100 and paths[False] >= 100, paths
 
 
 @pytest.mark.parametrize("doc", [
     {}, [], (), "", [[]], [{}], {"": {}}, [""], ["a", 1], [1, "a"], [True, "a"],
     [None, "none"], ("a", "b"), ["\"\\", "\u00e9\U0001f600"],
     {"k": [["x", "y"], [True, False, None]]}, 10 ** 200, -7,
+    # Each side of the one-join condition: the ends of printable ASCII, DEL,
+    # a control, a quote, a backslash, non-ASCII, a lone surrogate, a tuple,
+    # and one string that needs escaping among plain ones.
+    [" ", "~"], ["\x7f"], ["\x1f"], ['a"b'], ["a\\b"], ["\u00e9"], ["\ud800"],
+    ("x", "y"), ["ok", "\n"],
 ])
 def test_json_writer_matches_json_dumps_on_edge_cases(doc):
     assert _json_indent2(doc) == json.dumps(doc, indent=2)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from contmach import (INVERSION_POINTS, OPT_NONE, SIGN_POINTS,
                       ContinuousMachine, MembershipResult, ModulusSearchError,
                       STAR, brute_force_min_modulus, compose_monotone,
                       constant_oracle, derive_modulus_machine,
-                      effort_schedule, evaluate,
+                      effort_schedule, encode_value, evaluate,
                       evaluate_traced, exact_name,
                       grid_name, in_F_M, inversion_machine,
                       kleenean_to_bool_machine, machine_to_associate,
@@ -641,6 +642,44 @@ def test_evaluate_traced_with_fresh_questions_every_attempt(schedule):
     machine_like = ContinuousMachine(step_machine(40), fresh_questions_modulus)
     assert_traced_like_attempt_loop(machine_like, (Fraction(0),), (16, 64),
                                     schedule)
+
+
+def test_evaluate_traced_reuses_texts_of_an_identical_prefix_only():
+    # An attempt reuses the previous attempt's texts when its list starts
+    # with the previous list object for object.  1, Fraction(1) and True are
+    # equal but print as 1, "1/1" and true, so a prefix matched by == would
+    # print an earlier object's text; so would a shorter list read as an
+    # extension, or a list compared with itself after changing in place.
+    one, whole, true, half = 1, Fraction(1), True, Fraction(1, 2)
+    grown = [one]
+    lists = [
+        lambda: [one],
+        lambda: [one, half],  # extends by identity
+        lambda: [whole, half, true],  # an equal prefix of other objects
+        lambda: [whole, half, true, one],  # extends by identity
+        lambda: [true, half],  # shrinks
+        lambda: [half, true],  # reordered
+        lambda: [half],  # shrinks to an identical prefix
+        lambda: (half, true, one, whole),  # grows again, as a tuple
+        lambda: grown,
+        lambda: grown.append(whole) or grown,  # the same list, grown in place
+        lambda: grown.__setitem__(0, true) or grown,  # and changed in place
+    ]
+    seen = []
+
+    def modulus(phi, effort, question):
+        listed = lists[effort]()
+        seen.append(list(listed))
+        return listed
+
+    machine_like = ContinuousMachine(lambda phi, effort, question: None, modulus)
+    result, trace = evaluate_traced(machine_like, constant_oracle(0), "q",
+                                    len(lists) - 1)
+    assert result is None and len(seen) == len(lists)
+    texts = [attempt["modulus"] for attempt in trace["attempts"]]
+    expected = [[encode_value(needed) for needed in listed] for listed in seen]
+    # json.dumps tells 1 from true, which == does not.
+    assert json.dumps(texts) == json.dumps(expected)
 
 
 # The grid name of 0 answers every question like its exact name.

@@ -257,6 +257,27 @@ FRACTION_ARITHMETIC = ("__abs__", "__sub__", "__mul__", "__truediv__",
                        "__rtruediv__", "__lt__", "__le__", "__eq__")
 
 
+#: The public properties of a Fraction's terms; the exact type also keeps
+#: them in the slots ``_numerator`` and ``_denominator``.
+FRACTION_TERMS = ("numerator", "denominator")
+
+
+def forbid(monkeypatch, names, calls):
+    # Each named Fraction method or property records its name in ``calls``
+    # and raises when used.
+    def forbidden(name):
+        def raising(*args):
+            calls.append(name)
+            raise AssertionError(f"Fraction.{name} called")
+        return raising
+
+    for name in names:
+        wrapped = forbidden(name)
+        if name in FRACTION_TERMS:
+            wrapped = property(wrapped)
+        monkeypatch.setattr(Fraction, name, wrapped)
+
+
 def test_inversion_calls_no_fraction_arithmetic(monkeypatch):
     # The machine and its modulus compute on integers and only construct
     # Fractions, at silent and answering efforts alike.
@@ -265,15 +286,7 @@ def test_inversion_calls_no_fraction_arithmetic(monkeypatch):
              for accuracy in (Fraction(1, 8), Fraction(-3, 2), 1, 0, 4)
              for effort in (0, 1, 5, 30, 1100)]
     calls = []
-
-    def forbidden(method):
-        def raising(*args):
-            calls.append(method)
-            raise AssertionError(f"Fraction.{method} called")
-        return raising
-
-    for method in FRACTION_ARITHMETIC:
-        monkeypatch.setattr(Fraction, method, forbidden(method))
+    forbid(monkeypatch, FRACTION_ARITHMETIC, calls)
     got = []
     for name, effort, accuracy in cases:
         cm = inversion_machine()
@@ -287,6 +300,52 @@ def test_inversion_calls_no_fraction_arithmetic(monkeypatch):
     silent = sum(len(modulus) == 1 for _, modulus, _ in got)
     assert 0 < silent < len(got)
     assert any(value is not None for value, _, _ in got)
+
+
+def test_inversion_reads_fraction_terms_from_their_slots(monkeypatch):
+    # As above, and the terms of each Fraction are read from the exact
+    # type's slots, never through the numerator and denominator properties;
+    # an oracle that answers an int is read as the Fraction of it.
+    cases = [(name, effort, accuracy)
+             for x in (Fraction(7, 5), Fraction(-1, 10 ** 6), 3, -2, 0)
+             for name in (exact_name(x), constant_oracle(int(x)))
+             for accuracy in (Fraction(1, 8), Fraction(-3, 2), 1, 0, 4)
+             for effort in (0, 1, 5, 30, 1100)]
+    calls = []
+    forbid(monkeypatch, FRACTION_ARITHMETIC + FRACTION_TERMS, calls)
+    got = []
+    for name, effort, accuracy in cases:
+        cm = inversion_machine()
+        got.append((cm.machine(name, effort, accuracy), cm.modulus(name, effort, accuracy),
+                    cm.machine(name, effort, accuracy)))
+    monkeypatch.undo()
+    assert calls == []
+    for (name, effort, accuracy), (fresh, modulus, held) in zip(cases, got):
+        assert (fresh, modulus) == reference_inversion(name, effort, accuracy)
+        assert held == fresh
+    assert 0 < sum(len(modulus) == 1 for _, modulus, _ in got) < len(got)
+    assert any(value is not None for value, _, _ in got)
+
+
+def test_sign_reads_fraction_terms_from_their_slots(monkeypatch):
+    # The sign machine's test runs on the slots of one Fraction per call,
+    # with no Fraction arithmetic, for Fraction and int answers alike.
+    cases = [(name, index)
+             for x in (Fraction(7, 5), Fraction(-1, 10 ** 6), Fraction(1, 1000),
+                       3, -2, 0)
+             for name in (exact_name(x), constant_oracle(int(x)))
+             for index in (0, 1, 5, 12, 30, 1100)]
+    calls = []
+    forbid(monkeypatch, FRACTION_ARITHMETIC + FRACTION_TERMS, calls)
+    cm = sign_machine()
+    got = [(cm.machine(name, 0, index), cm.modulus(name, 0, index))
+           for name, index in cases]
+    monkeypatch.undo()
+    assert calls == []
+    for (name, index), (value, modulus) in zip(cases, got):
+        assert value is reference_sign(name, index), (name(1), index)
+        assert modulus == [Fraction(1, 2 ** index)]
+    assert {value for value, _ in got} == {True, False, OPT_NONE}
 
 
 def test_sign_kernel_equals_fraction_margin():

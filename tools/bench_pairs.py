@@ -17,14 +17,17 @@ It writes ``BENCH_<pr>.json`` at the root of the checkout: per workload and
 end-to-end metric, each side's runs, median and quartiles, the relative
 change of the median, how many pairs the change won, whether the change's
 median is worse than the parent's by more than the bound ``BENCHMARK.json``
-fixes, and whether the metric is unresolved: the parent's interquartile
+fixes, whether the metric is unresolved: the parent's interquartile
 distance, relative to its median, is wider than that bound, so a change
 within the bound cannot be told from noise, and not every run of the change
-reads better than every run of the parent.  The seeds, the run order, the Python version and
-the load average before each run are recorded beside them, and so is each
-run's pass count, read from the summary ``perfbench/run.py`` prints on
-stderr: a faster change makes more passes in a run of fixed length, which
-raises ``peak_rss_mb`` by itself.  Standard library only.
+reads better than every run of the parent, and whether the change is a
+gain: better in at least 9 of 10 pairs, its median moved in the better
+direction by more than that relative interquartile distance.  The seeds,
+the run order, the Python version and the load average before each run are
+recorded beside them, and so is each run's pass count, read from the
+summary ``perfbench/run.py`` prints on stderr: a faster change makes more
+passes in a run of fixed length, which raises ``peak_rss_mb`` by itself.
+Standard library only.
 
 It exits 1, after writing the file, when any run reports a wrong result,
 and names each such run's workload, side and seed on stderr.
@@ -48,6 +51,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 FIRST_SEED = 301
+
+#: The share of pairs a change must win for a gain.
+GAIN_SHARE = 0.9
 
 #: The pass count in a run's summary on stderr: "… 202 ops x 381 passes …".
 PASSES = re.compile(r" ops x (\d+) passes ")
@@ -103,7 +109,10 @@ def summary(values: list) -> dict:
 
 def compare(metric: dict, parent: list, change: list) -> dict:
     """Both sides of one metric, whether the change stays within its bound,
-    and whether the parent's spread is too wide for the bound to tell."""
+    whether the parent's spread is too wide for the bound to tell, and
+    whether the change is a gain: better in at least 9 of 10 pairs, with its
+    median moved in the better direction by more than the parent's
+    interquartile distance relative to the parent's median."""
     lower = metric["better"] == "lower"
     before, after = summary(parent), summary(change)
     base = before["median"]
@@ -111,15 +120,16 @@ def compare(metric: dict, parent: list, change: list) -> dict:
     spread = (before["q3"] - before["q1"]) / abs(base) if base else 0.0
     worse_by = relative if lower else -relative
     separated = max(change) < min(parent) if lower else min(change) > max(parent)
+    pairs_better = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     return {
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
         "parent": before, "change": after,
         "relative_change": relative,
-        "pairs_change_better": sum((c < p) if lower else (c > p)
-                                   for p, c in zip(parent, change)),
+        "pairs_change_better": pairs_better,
         "within_bound": worse_by <= metric["bound"],
         "parent_relative_iqr": spread,
         "unresolved": spread > metric["bound"] and not separated,
+        "gain": pairs_better >= GAIN_SHARE * len(parent) and -worse_by > spread,
     }
 
 
