@@ -393,29 +393,34 @@ def _rational(value) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
-#: Exponents below this share one Fraction 2^-n (see ``_scale``).
+#: Exponents below this share one Fraction 2^-n (see ``_Scales``).
 _SCALE_BOUND = 1024
 
-#: The shared 2^-n for each exponent n below _SCALE_BOUND asked for so far.
-_SCALES: dict = {}
 
+class _Scales(dict):
+    """The shared ``Fraction(1, 2 ** n)`` for each exponent n asked for so far.
 
-def _scale(n: int) -> Fraction:
-    """``Fraction(1, 2 ** n)``: below _SCALE_BOUND the one shared object.
-
-    Every dyadic question the realizers ask is built here, with the power
-    of two as a shift, so the questions of one effort are one object and
-    ``evaluate_traced``'s id-keyed encode memo encodes each once.  The table
-    is keyed by n and filled with ``setdefault``, so any visiting order, and
-    concurrent callers, agree on one object per n; exponents at or above the
-    bound get a fresh Fraction and are never stored.
+    Every dyadic question the realizers ask is read from here, with the
+    power of two built as a shift, so the questions of one effort are one
+    object and ``evaluate_traced``'s id-keyed encode memo encodes each once.
+    A missing n below _SCALE_BOUND is stored with ``setdefault``, so any
+    visiting order, and concurrent callers, agree on one object per n;
+    exponents at or above the bound get a fresh Fraction and are never
+    stored.
     """
-    scale = _SCALES.get(n)
-    if scale is None:
+
+    __slots__ = ()
+
+    def __missing__(self, n: int) -> Fraction:
         scale = Fraction(1, 1 << n)
-        if n < _SCALE_BOUND:
-            scale = _SCALES.setdefault(n, scale)
-    return scale
+        return self.setdefault(n, scale) if n < _SCALE_BOUND else scale
+
+
+_SCALES = _Scales()
+
+#: ``_scale(n)`` is 2^-n: below _SCALE_BOUND the one shared object.  A hit
+#: is one C-level dict lookup, with no Python frame.
+_scale = _SCALES.__getitem__
 
 
 def format_rational(value) -> str:

@@ -70,7 +70,7 @@ _encode_str = json.encoder.encode_basestring_ascii
 _ESCAPED = bytes([*range(32), 127]) + b'"\\'
 
 
-def _json_indent2(value, pad: str = "") -> str:
+def _json_indent2(value) -> str:
     """Exactly ``json.dumps(value, indent=2)``, for the types the CLI prints.
 
     It takes dicts with ``str`` keys, lists and tuples, ``str``, ``int``,
@@ -81,16 +81,16 @@ def _json_indent2(value, pad: str = "") -> str:
     of parts, joined once at the end.  A list or tuple of strings whose
     concatenation is ASCII, printable and free of ``"`` and ``\\``, such as
     a trace's modulus list, needs no escaping and is written in one join;
-    any other list of strings is escaped item by item.  ``pad`` is the
-    indentation of the line ``value`` starts on.
+    any other list of strings is escaped item by item.
     """
     parts = []
-    _write_json(value, pad, parts)
+    _write_json(value, "", parts)
     return "".join(parts)
 
 
 def _write_json(value, pad: str, parts: list) -> None:
-    """Append ``_json_indent2(value, pad)`` to ``parts``, in pieces."""
+    """Append ``_json_indent2(value)`` to ``parts``, in pieces, indented as
+    if it starts on a line indented by ``pad``."""
     if isinstance(value, str):
         parts.append(_encode_str(value))
     elif value is None:

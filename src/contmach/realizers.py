@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .alphabets import (_SCALES, OPT_NONE, NameOracle, _scale, encode_value,
+from .alphabets import (OPT_NONE, NameOracle, _scale, encode_value,
                         parse_rational)
 from .machines import ContinuousMachine, evaluate
 from .spaces import RepresentedSpace
@@ -63,9 +63,7 @@ def inversion_machine() -> ContinuousMachine:
     slot = None
 
     def query_point(phi, effort, accuracy):
-        scale = _SCALES.get(effort)
-        if scale is None:
-            scale = _scale(effort)
+        scale = _scale(effort)
         approx = phi(scale)
         if type(approx) is not Fraction:
             approx = Fraction(approx)
@@ -124,10 +122,7 @@ def sign_machine() -> ContinuousMachine:
     """
 
     def machine(phi, effort, index):
-        scale = _SCALES.get(index)
-        if scale is None:
-            scale = _scale(index)
-        approx = phi(scale)
+        approx = phi(_scale(index))
         if type(approx) is not Fraction:
             approx = Fraction(approx)
         p = approx._numerator

@@ -280,16 +280,25 @@ def test_parse_and_format_rational():
 # Shared dyadic questions
 
 
-def test_scale_is_two_to_the_minus_n_in_any_visiting_order(monkeypatch):
+@pytest.fixture
+def fresh_scales(monkeypatch):
+    """An empty 2^-n table installed in ``alphabets`` with its accessor."""
+    table = type(alphabets._SCALES)()
+    monkeypatch.setattr(alphabets, "_SCALES", table)
+    monkeypatch.setattr(alphabets, "_scale", table.__getitem__)
+    return table
+
+
+def test_scale_is_two_to_the_minus_n_in_any_visiting_order(fresh_scales):
     # A fresh table filled in a shuffled order: a cache keyed by position
     # rather than by n would hand out a wrong power somewhere.
-    monkeypatch.setattr(alphabets, "_SCALES", {})
     exponents = list(range(1101))
     random.Random(1024).shuffle(exponents)
     for n in exponents:
         assert alphabets._scale(n) == Fraction(1, 2 ** n), n
     for n in range(1101):
         assert alphabets._scale(n) == Fraction(1, 2 ** n), n
+    assert sorted(fresh_scales) == list(range(alphabets._SCALE_BOUND))
 
 
 def test_scale_is_shared_below_the_bound_only():
@@ -305,8 +314,7 @@ def test_scale_is_shared_below_the_bound_only():
         assert n not in alphabets._SCALES
 
 
-def test_scale_threads_filling_one_table_agree_on_one_object(monkeypatch):
-    monkeypatch.setattr(alphabets, "_SCALES", {})
+def test_scale_threads_filling_one_table_agree_on_one_object(fresh_scales):
     seen = [[] for _ in range(4)]
 
     def fill(into, seed):

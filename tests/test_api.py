@@ -66,3 +66,21 @@ def test_imports_are_stdlib_only():
                         if module.partition(".")[0] not in OWN_MODULES
                         and module.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_scale_table_is_named_only_in_alphabets():
+    # Every other module asks for 2^-n through ``alphabets._scale``, so the
+    # table's lookup rule has one owner.
+    names = []
+    for path in sorted((ROOT / "src" / "contmach").glob("*.py")):
+        if path.name == "alphabets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names.append((path.name, node.id))
+            elif isinstance(node, ast.Attribute):
+                names.append((path.name, node.attr))
+            elif isinstance(node, ast.alias):
+                names += [(path.name, node.name), (path.name, node.asname)]
+    assert {"realizers.py", "spaces.py"} <= {name for name, _ in names}
+    assert [entry for entry in names if entry[1] == "_SCALES"] == []

@@ -9,8 +9,10 @@ once on the commit ``--base``, unpacked from ``git archive`` into a temporary
 directory that is deleted afterwards, and once on this checkout's working
 tree, so uncommitted edits are checked too.  Both sides run the same
 interpreter in the same working directory, which holds the corpus files the
-``check`` vectors read.  It exits 1 and names every vector whose exit code,
-stdout or stderr differs.  Standard library only.
+``check`` vectors read.  The ``--output`` vectors write ``OUTPUT`` there;
+its bytes are part of a run's outcome, and it is deleted after each run.
+It exits 1 and names every vector whose exit code, stdout, stderr or output
+file differs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from bench_pairs import ROOT, git, unpack
 
@@ -32,6 +34,8 @@ CORPUS = "corpus.json"
 ESCAPED_CORPUS = 'corpus "quoted" \\ caf\u00e9.json'
 CORPUS_POINTS = [{"point": "2", "name_kind": "exact"},
                  {"point": "-7/5", "name_kind": "grid"}]
+#: The file the ``--output`` success vectors write, in the working directory.
+OUTPUT = "output.txt"
 
 GOLDENS = [
     ["invert", "--value", "2", "--eps", "1", "--max-effort", "64"],
@@ -142,6 +146,10 @@ def vectors() -> list:
         runs.append(["compose", "--pipeline", "invert|invert|invert",
                      "--value", "0", "--eps", "1/8", "--max-effort", "16",
                      "--schedule", "linear", "--format", output])
+        runs.append(["compose", "--pipeline", "invert|invert", "--value", "7/5",
+                     "--eps", "1/1024", "--format", output, "--output", OUTPUT])
+        runs.append(["associate-trace", "--machine", "sign", "--value=-3/1000",
+                     "--index", "5", "--format", output, f"--output={OUTPUT}"])
     runs += [
         ["invert", "--value", "2", "--eps", "1", "--max-effort", "2",
          "--format", "text"],
@@ -167,14 +175,20 @@ class Outcome(NamedTuple):
     code: int
     stdout: bytes
     stderr: bytes
+    #: The bytes of ``OUTPUT`` after the run, None when it wrote none.
+    output: Optional[bytes] = None
 
 
 def run_one(checkout: Path, workdir: Path, argv: list) -> Outcome:
-    """One vector's outcome in a fresh process on the package in ``checkout``."""
+    """One vector's outcome in a fresh process on the package in ``checkout``;
+    ``OUTPUT`` is deleted afterwards."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     proc = subprocess.run([sys.executable, "-m", "contmach.cli", *argv],
                           cwd=workdir, env=env, capture_output=True)
-    return Outcome(proc.returncode, proc.stdout, proc.stderr)
+    written = workdir / OUTPUT
+    output = written.read_bytes() if written.exists() else None
+    written.unlink(missing_ok=True)
+    return Outcome(proc.returncode, proc.stdout, proc.stderr, output)
 
 
 def run_all(checkout: Path, workdir: Path) -> dict:
@@ -183,12 +197,14 @@ def run_all(checkout: Path, workdir: Path) -> dict:
 
 
 def differences(parent: dict, change: dict) -> list:
-    """One line per vector whose exit code, stdout or stderr differs."""
+    """One line per vector whose exit code, stdout, stderr or output file
+    differs."""
     lines = []
     for argv, before in parent.items():
         after = change[argv]
         parts = [part for part, old, new
-                 in zip(("exit code", "stdout", "stderr"), before, after)
+                 in zip(("exit code", "stdout", "stderr", "output file"),
+                        before, after)
                  if old != new]
         if parts:
             shown = shlex.join(argv)
