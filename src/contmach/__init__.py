@@ -10,12 +10,10 @@ spaces, exact-real realizers, and a realizer-checking harness.
 
 from .alphabets import (OPT_NONE, STAR, Alphabet, FiniteFunction, NameOracle,
                         booleans_alphabet, constant_oracle, encode_value,
-                        extend_with_default, format_rational, list_diff,
-                        lookup, naturals_alphabet, one_point_alphabet,
-                        opt_alphabet, oracle_fixture, oracle_from_fixture,
+                        extend_with_default, format_rational, lookup,
+                        naturals_alphabet, one_point_alphabet, opt_alphabet,
                         override_oracle, pair_alphabet, parse_rational,
-                        rationals_alphabet, restriction_eq, sublist,
-                        table_oracle)
+                        rationals_alphabet, restriction_eq, table_oracle)
 from .associates import (Answer, AssociateFn, DialogueRound,
                          DialogueTranscript, Query, dialogue_machine,
                          dialogue_trace, machine_to_associate)

@@ -274,16 +274,6 @@ def restriction_eq(phi: NameOracle, psi: NameOracle, questions: Sequence) -> boo
     return all(phi(q) == psi(q) for q in questions)
 
 
-def sublist(part: Sequence, whole: Sequence) -> bool:
-    """Membership-based inclusion; order and multiplicity are ignored."""
-    return all(p in whole for p in part)
-
-
-def list_diff(items: Sequence, remove: Sequence) -> list:
-    """Elements of ``items`` with no match in ``remove``; order and duplicates kept."""
-    return [x for x in items if x not in remove]
-
-
 # ---------------------------------------------------------------------------
 # Reproducible test oracles
 
@@ -453,17 +443,3 @@ def encode_value(value):
         return value
     return str(value)
 
-
-def oracle_fixture(alphabet_name: str, table: Sequence, fallback) -> dict:
-    """Serialize a table-backed oracle: {"alphabet": …, "table": …, "fallback": …}."""
-    return {
-        "alphabet": alphabet_name,
-        "table": [[encode_value(q), encode_value(a)] for q, a in table],
-        "fallback": encode_value(fallback),
-    }
-
-
-def oracle_from_fixture(doc: dict, decode_question: Callable,
-                        decode_answer: Callable) -> NameOracle:
-    table = [(decode_question(q), decode_answer(a)) for q, a in doc["table"]]
-    return table_oracle(table, decode_answer(doc["fallback"]))

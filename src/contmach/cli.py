@@ -152,7 +152,7 @@ def _emit(parser, args, doc: dict) -> None:
     try:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         parser.error(f"cannot write output: {exc}")
 
 
@@ -379,6 +379,9 @@ def main(argv=None) -> int:
     except _RationalTooLong as exc:
         # Inputs are checked when parsed; this is a rational the run derived.
         parser.error(f"the run derived a {exc}")
+    except RecursionError as exc:
+        # A corpus nested deeper, or a pipeline longer, than Python's stack.
+        parser.error(f"input nested too deeply to run: {exc}")
     _emit(parser, args, doc)
     return EXIT_OK if answered else EXIT_UNDECIDED
 

@@ -10,11 +10,10 @@ import pytest
 from contmach import alphabets
 from contmach import (FiniteFunction, Kleenean, OPT_NONE, STAR,
                       booleans_alphabet, constant_oracle, encode_value,
-                      extend_with_default, format_rational, list_diff, lookup,
+                      extend_with_default, format_rational, lookup,
                       naturals_alphabet, one_point_alphabet, opt_alphabet,
-                      oracle_fixture, oracle_from_fixture, override_oracle,
-                      pair_alphabet, parse_rational, rationals_alphabet,
-                      restriction_eq, sublist, table_oracle)
+                      override_oracle, pair_alphabet, parse_rational,
+                      rationals_alphabet, restriction_eq, table_oracle)
 
 
 def scan_lookup(ff, question):
@@ -152,31 +151,6 @@ def test_restriction_eq_concatenation():
             split = (restriction_eq(base, other, left)
                      and restriction_eq(base, other, right))
             assert both == split
-
-
-def test_sublist_basics():
-    assert sublist([], [1, 2])
-    assert sublist([1, 2], [1, 2])
-    assert sublist([2, 2, 1], [1, 2])
-    assert not sublist([3], [1, 2])
-
-
-def test_sublist_preorder():
-    universe = [0, 1]
-    lists = [list(t) for n in range(3) for t in itertools.product(universe, repeat=n)]
-    for a in lists:
-        assert sublist(a, a)
-    for a in lists:
-        for b in lists:
-            for c in lists:
-                if sublist(a, b) and sublist(b, c):
-                    assert sublist(a, c)
-
-
-def test_list_diff():
-    assert list_diff(["q0", "q1"], ["q1"]) == ["q0"]
-    assert list_diff([1, 1, 2], [3]) == [1, 1, 2]
-    assert list_diff([], [1]) == []
 
 
 def test_rationals_enumeration_round_trip():
@@ -439,14 +413,3 @@ def test_encode_value():
     # A value of no shipped type is rendered by ``str``.
     assert encode_value(Kleenean.TRUE) == "Kleenean.TRUE"
 
-
-def test_oracle_fixture_round_trip():
-    table = [(Fraction(1), Fraction(2)), (Fraction(1, 2), Fraction(2))]
-    doc = oracle_fixture("rational_reals", table, Fraction(0))
-    assert doc == {"alphabet": "rational_reals",
-                   "table": [["1/1", "2/1"], ["1/2", "2/1"]],
-                   "fallback": "0/1"}
-    oracle = oracle_from_fixture(doc, parse_rational, parse_rational)
-    assert oracle(Fraction(1)) == 2
-    assert oracle(Fraction(1, 2)) == 2
-    assert oracle(Fraction(9)) == 0

@@ -488,8 +488,6 @@ def test_dialogue_progress_on_finite_alphabets():
     # Wherever the machine eventually answers, the dialogue answers too, and
     # every query round either binds fresh questions or is the default
     # question buying one more effort level.
-    from contmach import list_diff
-
     specs = [ThresholdSpec(0, 1, base=2, spread=2, salt=1),
              ThresholdSpec(2, 0, base=1, spread=3, salt=0, dead_stride=4),
              ThresholdSpec(1, 1, base=4, spread=1, salt=2)]
@@ -505,7 +503,7 @@ def test_dialogue_progress_on_finite_alphabets():
                 assert trace.answered == answers
                 bound = []
                 for r in trace.rounds[:-1]:
-                    fresh = list_diff(r.payload, bound)
+                    fresh = [x for x in r.payload if x not in bound]
                     assert fresh == list(r.payload) or r.payload == [default_question]
                     bound.extend(r.payload)
                 if answers:

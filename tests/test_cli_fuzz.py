@@ -218,3 +218,34 @@ def test_index_at_the_limit_still_runs(capsys):
     assert main(["compose", "--pipeline", "sign", "--value", "1",
                  "--index", "14284"]) == 0
     assert '"answer": true' in capsys.readouterr().out
+
+
+#: ~300 invert stages outgrow Python's stack, as each settles the one before.
+LONG_PIPELINE = "|".join(["invert"] * 1000)
+
+
+@pytest.mark.parametrize("argv, corpus, message", [
+    (["check", "--machine", "invert", "--corpus", "corpus.json"],
+     "[" * 100_000 + "]" * 100_000,
+     "input nested too deeply to run: maximum recursion depth exceeded"),
+    (["compose", "--pipeline", LONG_PIPELINE, "--value", "2", "--eps", "1",
+      "--max-effort", "0"], None,
+     "input nested too deeply to run: maximum recursion depth exceeded"),
+    (["invert", "--value", "2", "--eps", "1", "--output", "a\0b"], None,
+     "cannot write output: embedded null byte"),
+], ids=["deep-corpus", "long-pipeline", "nul-output"])
+def test_input_past_the_stack_or_the_file_system_exits_one(
+        argv, corpus, message, tmp_path, monkeypatch, capsys):
+    # Vectors the seeded generator does not reach: JSON nested deeper than
+    # the decoder's stack, a pipeline deeper than the evaluator's, and an
+    # output path no file system accepts.
+    monkeypatch.chdir(tmp_path)
+    if corpus is not None:
+        (tmp_path / "corpus.json").write_text(corpus, encoding="utf-8")
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    out, errors = capsys.readouterr()
+    assert out == ""
+    assert errors.startswith(f"contmach: error: {message}")
+    assert errors.count("\n") == 1 and errors.endswith("\n")
