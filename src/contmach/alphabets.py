@@ -57,13 +57,12 @@ class Alphabet:
     """A countable set with enumeration, decidable equality and a default.
 
     Equality of elements is Python ``==``.  ``enumerate`` must reach every
-    element tests care about; ``index_of`` is its inverse.
+    element tests care about, and ``default`` is ``enumerate(0)``.
     """
 
     name: str
     enumerate: Callable[[int], object]
     default: object
-    index_of: Callable[[object], int]
 
     def prefix(self, count: int) -> list:
         return [self.enumerate(i) for i in range(count)]
@@ -74,17 +73,16 @@ class Alphabet:
 
 
 def one_point_alphabet() -> Alphabet:
-    return Alphabet("one_point", lambda i: STAR, STAR, index_of=lambda e: 0)
+    return Alphabet("one_point", lambda i: STAR, STAR)
 
 
 def booleans_alphabet() -> Alphabet:
     values = (False, True)
-    return Alphabet("booleans", lambda i: values[i], False,
-                    index_of=lambda b: int(b))
+    return Alphabet("booleans", lambda i: values[i], False)
 
 
 def naturals_alphabet() -> Alphabet:
-    return Alphabet("naturals", lambda i: i, 0, index_of=lambda n: n)
+    return Alphabet("naturals", lambda i: i, 0)
 
 
 def _calkin_wilf(index: int) -> Fraction:
@@ -99,19 +97,6 @@ def _calkin_wilf(index: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _calkin_wilf_index(value: Fraction) -> int:
-    num, den = value.numerator, value.denominator
-    bits = []
-    while (num, den) != (1, 1):
-        if num > den:
-            bits.append("1")
-            num -= den
-        else:
-            bits.append("0")
-            den -= num
-    return int("1" + "".join(reversed(bits)), 2)
-
-
 def _rational_at(i: int) -> Fraction:
     if i == 0:
         return Fraction(0)
@@ -119,17 +104,8 @@ def _rational_at(i: int) -> Fraction:
     return value if i % 2 == 1 else -value
 
 
-def _rational_index(x) -> int:
-    x = Fraction(x)
-    if x == 0:
-        return 0
-    k = _calkin_wilf_index(abs(x))
-    return 2 * k - 1 if x > 0 else 2 * k
-
-
 def rationals_alphabet() -> Alphabet:
-    return Alphabet("rationals", _rational_at, Fraction(0),
-                    index_of=_rational_index)
+    return Alphabet("rationals", _rational_at, Fraction(0))
 
 
 def opt_alphabet(base: Alphabet) -> Alphabet:
@@ -145,12 +121,7 @@ def opt_alphabet(base: Alphabet) -> Alphabet:
     def enum(i: int):
         return OPT_NONE if i == 0 else base.enumerate(i - 1)
 
-    return Alphabet(f"opt_{base.name}", enum, OPT_NONE,
-                    lambda e: 0 if e is OPT_NONE else base.index_of(e) + 1)
-
-
-def _cantor_pair(x: int, y: int) -> int:
-    return (x + y) * (x + y + 1) // 2 + y
+    return Alphabet(f"opt_{base.name}", enum, OPT_NONE)
 
 
 def _cantor_unpair(k: int) -> tuple[int, int]:
@@ -167,8 +138,7 @@ def pair_alphabet(left: Alphabet, right: Alphabet) -> Alphabet:
         return (left.enumerate(x), right.enumerate(y))
 
     return Alphabet(f"{left.name}_x_{right.name}", enum,
-                    (left.default, right.default),
-                    lambda e: _cantor_pair(left.index_of(e[0]), right.index_of(e[1])))
+                    (left.default, right.default))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +333,17 @@ def _exponent_value(literal: str):
     return None
 
 
+def _check_power_of_two(exponent: int) -> None:
+    """Raise ``_RationalTooLong`` when 2^exponent has more digits than
+    ``sys.get_int_max_str_digits()``, without building a power that long."""
+    limit = sys.get_int_max_str_digits()
+    # 2^exponent has at most ``limit`` digits below 3 * limit and more
+    # above 4 * limit.
+    if limit and exponent >= 3 * limit and (
+            exponent > 4 * limit or 1 << exponent >= 10 ** limit):
+        raise _RationalTooLong("rational too long to print as p/q")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or an exact decimal literal that ``format_rational`` can print."""
     literal = str(text).strip()
@@ -376,11 +357,6 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational: {_echo(text)}") from exc
     return value
-
-
-def _rational(value) -> Fraction:
-    """``value`` as a Fraction, without copying one that already is."""
-    return value if type(value) is Fraction else Fraction(value)
 
 
 #: Exponents below this share one Fraction 2^-n (see ``_Scales``).
@@ -414,7 +390,8 @@ _scale = _SCALES.__getitem__
 
 
 def format_rational(value) -> str:
-    value = _rational(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     try:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:

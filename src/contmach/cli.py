@@ -13,8 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .alphabets import (_RationalTooLong, encode_value, format_rational,
-                        parse_rational)
+from .alphabets import (_RationalTooLong, _check_power_of_two, encode_value,
+                        format_rational, parse_rational)
 from .associates import dialogue_trace, machine_to_associate
 from .machines import compose_monotone, evaluate_traced, use_first
 from .realizers import (check_realizer, exact_name, inversion_machine,
@@ -231,12 +231,7 @@ def _question(parser, args, space_out):
     more digits than Python prints is refused before that power is built.
     """
     if space_out.name != "rational_reals":
-        limit = sys.get_int_max_str_digits()
-        # 2^index has at most ``limit`` digits below 3 * limit and more
-        # above 4 * limit.
-        if limit and args.index >= 3 * limit and (
-                args.index > 4 * limit or 1 << args.index >= 10 ** limit):
-            raise _RationalTooLong("rational too long to print as p/q")
+        _check_power_of_two(args.index)
         return args.index
     if args.eps is None:
         parser.error("--eps is required when the output is rational names")

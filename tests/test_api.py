@@ -86,3 +86,16 @@ def test_scale_table_is_named_only_in_alphabets():
                 names += [(path.name, node.name), (path.name, node.asname)]
     assert {"realizers.py", "spaces.py"} <= {name for name, _ in names}
     assert [entry for entry in names if entry[1] == "_SCALES"] == []
+
+
+def test_print_limit_is_read_only_in_alphabets():
+    # The rule for a rational too long to print as p/q has one owner: every
+    # other module asks ``alphabets`` (``_check_power_of_two``, ``parse_rational``).
+    readers = []
+    for path in sorted((ROOT / "src" / "contmach").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # A Name's id, an Attribute's attr or an import alias's name.
+            if "get_int_max_str_digits" in {getattr(node, field, None)
+                                            for field in ("id", "attr", "name")}:
+                readers.append(path.name)
+    assert readers and set(readers) == {"alphabets.py"}
