@@ -162,11 +162,6 @@ class FiniteFunction:
     def size(self) -> int:
         return len(self.entries)
 
-    def questions(self) -> tuple:
-        # From a list, not a generator: growing a long tuple step by step
-        # churns the allocator and raises the process's resident memory.
-        return tuple([q for q, _ in self.entries])
-
     @cached_property
     def _index(self) -> dict:
         return _first_answers(self.entries)

@@ -101,39 +101,34 @@ def _write_json(value, pad: str, parts: list) -> None:
         parts.append("false")
     elif isinstance(value, int):
         parts.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, dict)):
+        brackets = "{}" if isinstance(value, dict) else "[]"
         if not value:
-            parts.append("[]")
+            parts.append(brackets)
             return
         inner = pad + "  "
         separator = ",\n" + inner
-        parts.append("[\n" + inner)
-        try:
-            text = "".join(value)
-        except TypeError:  # an item that is not a string
-            for index, item in enumerate(value):
+        parts.append(brackets[0] + "\n" + inner)
+        if brackets == "{}":
+            for index, (key, item) in enumerate(value.items()):
                 if index:
                     parts.append(separator)
+                parts.append(_encode_str(key) + ": ")
                 _write_json(item, inner, parts)
         else:
-            if text.isascii() and len(text.encode().translate(None, _ESCAPED)) == len(text):
-                parts.append('"' + ('"' + separator + '"').join(value) + '"')
+            try:
+                text = "".join(value)
+            except TypeError:  # an item that is not a string
+                for index, item in enumerate(value):
+                    if index:
+                        parts.append(separator)
+                    _write_json(item, inner, parts)
             else:
-                parts.append(separator.join(map(_encode_str, value)))
-        parts.append("\n" + pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = pad + "  "
-        separator = ",\n" + inner
-        parts.append("{\n" + inner)
-        for index, (key, item) in enumerate(value.items()):
-            if index:
-                parts.append(separator)
-            parts.append(_encode_str(key) + ": ")
-            _write_json(item, inner, parts)
-        parts.append("\n" + pad + "}")
+                if text.isascii() and len(text.encode().translate(None, _ESCAPED)) == len(text):
+                    parts.append('"' + ('"' + separator + '"').join(value) + '"')
+                else:
+                    parts.append(separator.join(map(_encode_str, value)))
+        parts.append("\n" + pad + brackets[1])
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -395,12 +395,12 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     without a ``settle`` of its own is scanned along efforts 0..cap, its
     modulus called at the effort asked.
     """
+    inner_machine, inner_modulus = _parts(inner, "compose_monotone")
+    outer_machine, outer_modulus = _parts(outer, "compose_monotone")
     if inner.out_space and outer.in_space and inner.out_space != outer.in_space:
         raise ValueError(
             f"cannot compose: inner machine produces {inner.out_space!r} "
             f"but outer machine consumes {outer.in_space!r}")
-    inner_machine, inner_modulus = inner.machine, inner.modulus
-    outer_machine, outer_modulus = outer.machine, outer.modulus
 
     def padded_by(answer):
         # The intermediate oracle: ``answer``'s value, or the default where

@@ -184,14 +184,14 @@ def standard_corpus(points: Sequence):
     return [corpus_sample(p, k) for p in points for k in _NAME_BUILDERS]
 
 
-def load_corpus(doc) -> list:
-    """Corpus from a JSON array of {"point": "p/q", "name_kind": …} records.
+def load_corpus(doc: str) -> list:
+    """Corpus from JSON text: an array of {"point": "p/q", "name_kind": …}
+    records.
 
-    Raises ValueError when the document is not an array of objects or a
-    ``name_kind`` is not a string.
+    Raises ValueError when the text is not JSON, is not an array of objects,
+    or a ``name_kind`` is not a string.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+    doc = json.loads(doc)
     if not isinstance(doc, list):
         raise ValueError("corpus must be a JSON array of objects")
     samples = []
@@ -224,10 +224,6 @@ class FiniteMultifunction:
 
     source: tuple
     table: Mapping
-
-    @staticmethod
-    def from_pairs(source: Sequence, pairs) -> "FiniteMultifunction":
-        return FiniteMultifunction(tuple(source), dict(pairs))
 
     def values(self, point) -> tuple:
         return tuple(self.table.get(point, ()))

@@ -96,7 +96,7 @@ def replayed_dialogue(associate):
         return step.value if isinstance(step, Answer) else None
 
     def modulus(phi, effort, question):
-        return list(state_after(phi, effort, question).questions())
+        return [q for q, _ in state_after(phi, effort, question).entries]
 
     return machine, modulus
 
@@ -327,7 +327,7 @@ def scan_associate(machine_like, question_default, answer_default):
                     return answer
             return answer_default
 
-        bound = state.questions()
+        bound = [q for q, _ in state.entries]
         for effort in range(state.size + 1):
             missing = [q for q in modulus(padded, effort, question)
                        if q not in bound]

@@ -300,6 +300,10 @@ def test_use_first_monotone_and_terminating_on_random_machines():
 @pytest.mark.parametrize("combinator", [
     use_first, derive_modulus_machine,
     lambda machine: machine_to_associate(machine, 0, 0),
+    pytest.param(lambda machine: compose_monotone(machine, inversion_machine(), 0),
+                 id="compose_monotone_outer"),
+    pytest.param(lambda machine: compose_monotone(inversion_machine(), machine, 0),
+                 id="compose_monotone_inner"),
 ])
 def test_combinators_need_a_modulus(combinator):
     with pytest.raises(ValueError, match="needs a machine with a modulus$"):

@@ -480,7 +480,7 @@ def test_machine_only_scans_query_as_the_reference_does():
 
 
 def mf(table):
-    return FiniteMultifunction.from_pairs(sorted(table), table)
+    return FiniteMultifunction(tuple(sorted(table)), dict(table))
 
 
 def test_tightens_reflexive():
