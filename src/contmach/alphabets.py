@@ -363,7 +363,8 @@ class _Scales(dict):
 
     Every dyadic question the realizers ask is read from here, with the
     power of two built as a shift, so the questions of one effort are one
-    object and ``evaluate_traced``'s id-keyed encode memo encodes each once.
+    object, and the one encoder every settle record of a trace renders its
+    texts through (``evaluate_traced``'s id-keyed memo) encodes each once.
     A missing n below _SCALE_BOUND is stored with ``setdefault``, so any
     visiting order, and concurrent callers, agree on one object per n;
     exponents at or above the bound get a fresh Fraction and are never

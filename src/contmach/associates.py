@@ -14,7 +14,7 @@ from typing import Callable, Union
 
 from .alphabets import (FiniteFunction, NameOracle, _key, encode_value,
                         extend_with_default)
-from .machines import (Evaluation, MonotoneMachine, _Settled,
+from .machines import (Evaluation, MonotoneMachine, _encoded, _Settled,
                        _SettlingMachine, _parts)
 
 
@@ -43,8 +43,9 @@ def dialogue_machine(associate: AssociateFn) -> MonotoneMachine:
 
     Its ``settle(phi, cap)`` runs the dialogue once for cap + 1 rounds:
     the record's answer is the last round's, at effort len(rounds) - 1, and
-    its modulus at n lists the questions of the first n rounds.  Evaluating
-    it therefore consults the associate once per round.
+    its modulus at n lists the questions of the first n rounds, or their
+    texts when it is given an encoder.  Evaluating it therefore consults the
+    associate once per round.
     """
 
     def machine(phi, effort, question):
@@ -58,8 +59,8 @@ def dialogue_machine(associate: AssociateFn) -> MonotoneMachine:
             transcript = dialogue_trace(associate, phi, question, cap + 1)
             found = (Evaluation(transcript.final_answer, len(transcript.rounds) - 1)
                      if transcript.answered else None)
-            return _Settled(found,
-                            lambda effort: _questions(transcript.rounds[:effort]))
+            return _Settled(found, lambda effort, encode=None: _encoded(
+                _questions(transcript.rounds[:effort]), encode))
 
         return settled
 

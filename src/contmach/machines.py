@@ -11,9 +11,9 @@ oracle to every output oracle whose answers all show up at some effort.
 from __future__ import annotations
 
 import functools
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .alphabets import Alphabet, NameOracle, _key, encode_value, restriction_eq
@@ -72,9 +72,11 @@ class _SettlingMachine(MonotoneMachine):
     the first effort <= cap at which the machine answers, with that answer,
     or None; its ``modulus(n)`` is the list ``modulus(phi, n, question)`` at
     any effort n up to the cap, read off the same search under the monotone
-    contract, so a trace of the evaluation needs no second settle.  The
-    context keeps no memo of its own: ``compose_monotone`` caches its inner
-    stage's records, the only ones asked for again within one evaluation.
+    contract, so a trace of the evaluation needs no second settle, and
+    ``modulus(n, encode)`` is that list's texts, rendered by the record
+    itself.  The context keeps no memo of its own: ``compose_monotone``
+    caches its inner stage's records, the only ones asked for again within
+    one evaluation.
 
     ``_first_of`` is set on the machines ``use_first`` builds: the machine
     it monotonized, the innermost one when ``use_first`` is nested.
@@ -111,10 +113,15 @@ class Evaluation(NamedTuple):
 
 class _Settled(NamedTuple):
     """One question of a settled machine: its first answer up to the cap, and
-    ``modulus(n)``, the machine's modulus list at any effort n up to the cap."""
+    ``modulus(n)``, the machine's modulus list at any effort n up to the cap.
+
+    ``modulus(n, encode)`` is the same list with each question q replaced by
+    ``encode(q)``.  A record may keep the texts it made, so it is given one
+    encoder, the one of the trace that reads it.
+    """
 
     found: Optional[Evaluation]
-    modulus: Callable[[int], list]
+    modulus: Callable[..., list]
 
 
 class MembershipResult(NamedTuple):
@@ -153,9 +160,10 @@ def evaluate(machine_like, phi: NameOracle, question, fuel_cap: int,
 def _evaluation(machine_like, phi: NameOracle, question, efforts):
     """``evaluate``'s result along ``efforts``, and the modulus at an effort.
 
-    The second item maps a scheduled effort to the modulus list there, or
-    is None for a machine without a modulus.  A settled machine's lists come
-    from the record of its one settle; any other machine is scanned.
+    The second item maps a scheduled effort, and an optional encoder, to
+    the modulus list there, or is None for a machine without a modulus.  A
+    settled machine's lists come from the record of its one settle; any
+    other machine is scanned.
     """
     settle = getattr(machine_like, "settle", None)
     if settle is None or not efforts:
@@ -175,6 +183,11 @@ def _first_answer(machine: MachineFn, phi: NameOracle, question,
     return None
 
 
+def _encoded(listed, encode):
+    """``listed``, or its texts by ``encode`` when there is an encoder."""
+    return listed if encode is None else list(map(encode, listed))
+
+
 def _scan_settle(machine_like, phi: NameOracle, efforts, question) -> _Settled:
     """The record of a question for any machine without a ``settle`` of its
     own: ``found`` is the first answer along ``efforts``, and ``modulus``
@@ -183,7 +196,8 @@ def _scan_settle(machine_like, phi: NameOracle, efforts, question) -> _Settled:
     machine, modulus = _parts(machine_like)
     return _Settled(_first_answer(machine, phi, question, efforts),
                     None if modulus is None
-                    else lambda effort: modulus(phi, effort, question))
+                    else lambda effort, encode=None:
+                    _encoded(modulus(phi, effort, question), encode))
 
 
 def _settle_fn(mm: MonotoneMachine):
@@ -199,32 +213,30 @@ def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
     The machine is evaluated once, as ``evaluate`` does; the trace then
     lists the scheduled efforts up to the answering one.  Every earlier
     attempt is silent, since the answer is the first along the schedule,
-    and each attempt shows the modulus list at its effort.  A settled
-    machine's lists are read from its settle's records, so ``use_first``
-    computes each raw modulus once and a composite reuses its stages'
-    records; a machine without a ``settle`` has its modulus called at every
-    attempt.  Values and questions are rendered with ``encode_value``, each
-    question object once per trace: a memo keyed by the object's identity
-    is read inline for every modulus entry, and ``kept`` holds every encoded
-    object, so no id is reused while the trace is built, even where a
-    modulus builds fresh questions on every call.  An attempt whose list
-    starts with the previous attempt's list object for object (compared by
-    ``is``, not ``==``, which would match 1 with Fraction(1)), as
-    ``use_first``'s lists do, reuses that attempt's texts and encodes only
-    the tail.  Each list is copied into a tuple when it is read, so a
-    modulus that changes a list it returned earlier cannot pass for an
-    extension.
+    and each attempt shows the modulus list at its effort.  Every list comes
+    from the record of that one evaluation, rendered by the record through
+    this trace's one encoder: ``use_first``'s record computes each raw
+    modulus once and encodes each entry once, a composite's list is the
+    concatenation of its stages' records' texts, and a machine without a
+    ``settle`` has its modulus called and encoded at every attempt.  Values
+    and questions are rendered with ``encode_value``, each question object
+    once per trace: the encoder's memo is keyed by the object's identity,
+    and ``kept`` holds every encoded object, so no id is reused while the
+    trace is built, even where a modulus builds fresh questions on every
+    call.
     """
     efforts = effort_schedule(fuel_cap, schedule)
     result, modulus = _evaluation(machine_like, phi, question, efforts)
     if result is not None:
         efforts = efforts[:efforts.index(result.effort) + 1]
     encoded, kept = {}, []
-    previous, texts = (), []
 
     def encode(needed):
+        key = id(needed)
+        if key in encoded:
+            return encoded[key]
         kept.append(needed)
-        text = encoded[id(needed)] = encode_value(needed)
+        text = encoded[key] = encode_value(needed)
         return text
 
     attempts = []
@@ -233,14 +245,7 @@ def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
         attempt = {"n": effort,
                    "result": encode_value(result.value) if answered else "none"}
         if modulus is not None:
-            listed = tuple(modulus(effort))
-            start = len(previous)
-            if len(listed) < start or not all(map(operator.is_, listed, previous)):
-                start, texts = 0, []
-            texts = attempt["modulus"] = texts + [
-                encoded[key] if (key := id(needed)) in encoded else encode(needed)
-                for needed in listed[start:]]
-            previous = listed
+            attempt["modulus"] = modulus(effort, encode)
         attempts.append(attempt)
     trace = {
         "effort_schedule": schedule,
@@ -298,7 +303,9 @@ def use_first(machine_like) -> MonotoneMachine:
     Its ``settle`` searches efforts 0..cap once per question.  The record's
     modulus at effort n is the concatenation above for efforts 0..min(n, f),
     f the first answering effort (n where there is none up to the cap); it
-    is extended as n grows, so each raw modulus is computed once.
+    is extended as n grows, so each raw modulus is computed once.  Its
+    texts, made only when a trace asks for them, are extended the same way,
+    so each entry is encoded once per record.
 
     The returned machine also records the machine it monotonized (the
     innermost one when ``use_first`` is nested); ``machine_to_associate``
@@ -319,14 +326,20 @@ def use_first(machine_like) -> MonotoneMachine:
     def first_settle(phi, cap):
         def settled(question) -> _Settled:
             found = _first_answer(machine, phi, question, range(cap + 1))
-            collected, ends = [], []
+            collected, ends, texts = [], [], None
 
-            def modulus_at(effort):
+            def modulus_at(effort, encode=None):
+                nonlocal texts
                 last = effort if found is None else min(effort, found.effort)
                 while len(ends) <= last:
                     collected.extend(modulus(phi, len(ends), question))
                     ends.append(len(collected))
-                return collected[:ends[last]]
+                if encode is None:
+                    return collected[:ends[last]]
+                if texts is None:
+                    texts = []
+                texts.extend(map(encode, collected[len(texts):ends[last]]))
+                return texts[:ends[last]]
 
             return _Settled(found, modulus_at)
 
@@ -393,7 +406,8 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     intermediate question ever answers, as on 0 for chains of inverses, a
     trace therefore makes the settle's raw calls and no more.  A stage
     without a ``settle`` of its own is scanned along efforts 0..cap, its
-    modulus called at the effort asked.
+    modulus called at the effort asked.  The record's texts at n are the
+    concatenation of the texts of the same inner records.
     """
     inner_machine, inner_modulus = _parts(inner, "compose_monotone")
     outer_machine, outer_modulus = _parts(outer, "compose_monotone")
@@ -463,7 +477,7 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
         def settled(question) -> _Settled:
             record = outer_settled(question)
 
-            def modulus_at(effort):
+            def modulus_at(effort, encode=None):
                 # The inner records of the outer list, looked up once; they
                 # are looked up again only for a re-settled list.
                 inner_records = list(map(inner_settled, record.modulus(effort)))
@@ -472,8 +486,9 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
                     outer_list = settle_outer(padded_by(answer_at(effort)),
                                               effort)(question).modulus(effort)
                     inner_records = map(inner_settled, outer_list)
-                return [collected for inner_record in inner_records
-                        for collected in inner_record.modulus(effort)]
+                return list(chain.from_iterable(
+                    inner_record.modulus(effort, encode)
+                    for inner_record in inner_records))
 
             return _Settled(first(record), modulus_at)
 

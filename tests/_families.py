@@ -181,3 +181,23 @@ def traced_by_attempts(machine_like, phi, question, fuel_cap, schedule):
              "final": None if result is None else encode_value(result[0]),
              "fuel_cap": fuel_cap}
     return result, trace
+
+
+# ---------------------------------------------------------------------------
+# Settle records render their own texts
+
+
+def assert_records_encode_their_lists(mm, names, questions, caps):
+    """Each settle record's ``modulus(n, encode)`` is its ``modulus(n)``
+    encoded entry by entry, at every effort n up to the cap, asked in rising
+    and in falling order on fresh records.  ``repr`` is the encoder: it tells
+    1, True and Fraction(1) apart, which ``==`` on encoded texts does not."""
+    for cap in caps:
+        for phi in names:
+            for question in questions:
+                for efforts in (range(cap + 1), range(cap, -1, -1)):
+                    record = mm.settle(phi, cap)(question)
+                    for n in efforts:
+                        assert (record.modulus(n, repr)
+                                == [repr(q) for q in record.modulus(n)]), \
+                            (cap, question, n)

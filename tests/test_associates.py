@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from _families import (all_small_oracles, counting_machine,
-                       monotone_threshold, random_threshold_spec,
-                       threshold_machine, ThresholdSpec, traced_by_attempts)
+from _families import (all_small_oracles, assert_records_encode_their_lists,
+                       counting_machine, monotone_threshold,
+                       random_threshold_spec, threshold_machine, ThresholdSpec,
+                       traced_by_attempts)
 from contmach import (Answer, ContinuousMachine, FiniteFunction, Query,
                       compose_monotone, constant_oracle, dialogue_machine,
                       dialogue_trace, evaluate, evaluate_traced, exact_name,
@@ -176,6 +177,12 @@ def test_dialogue_machine_settle_matches_per_effort_scan(schedule):
                 assert got == want, (question, cap)
                 assert got_consulted <= want_consulted
                 assert got_queried <= want_queried
+
+
+def test_dialogue_records_encode_their_lists():
+    for associate, phi, question in dialogue_cases():
+        assert_records_encode_their_lists(dialogue_machine(associate), [phi],
+                                          (question,), (0, 5, 24))
 
 
 def test_round_trip_consults_once_per_round():

@@ -1,14 +1,15 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from _families import (all_small_oracles, counting_machine, failure_example,
-                       last_element_modulus, monotone_threshold,
-                       random_threshold_spec, small_oracle, table_machine,
-                       threshold_machine, ThresholdSpec, traced_by_attempts,
-                       two_point_oracles)
+from _families import (all_small_oracles, assert_records_encode_their_lists,
+                       counting_machine, failure_example, last_element_modulus,
+                       monotone_threshold, random_threshold_spec, small_oracle,
+                       table_machine, threshold_machine, ThresholdSpec,
+                       traced_by_attempts, two_point_oracles)
 from contmach import (INVERSION_POINTS, OPT_NONE, SIGN_POINTS,
                       ContinuousMachine, MembershipResult, ModulusSearchError,
                       STAR, brute_force_min_modulus, compose_monotone,
@@ -523,15 +524,15 @@ def test_settle_matches_scan_threshold_families():
     for _ in range(12):
         first = use_first(threshold_machine(random_threshold_spec(
             rng, allow_dead=True)))
-        assert_settles_like_scan(first, names, range(3), caps)
         # Monotone thresholds without a settle of their own, as either
         # stage, and dead questions the outer machine may need.
         inner = monotone_threshold(random_threshold_spec(rng, vary=False,
                                                          allow_dead=True))
-        assert_settles_like_scan(compose_monotone(first, inner, 0), names,
-                                 range(3), caps)
-        assert_settles_like_scan(compose_monotone(inner, first, 0), names,
-                                 range(3), caps)
+        for mm in (first, compose_monotone(first, inner, 0),
+                   compose_monotone(inner, first, 0)):
+            assert_settles_like_scan(mm, names, range(3), caps)
+            assert_records_encode_their_lists(mm, names, range(3),
+                                              caps["linear"])
 
 
 def test_settle_empty_and_zero_caps():
@@ -649,11 +650,12 @@ def test_evaluate_traced_with_fresh_questions_every_attempt(schedule):
 
 
 def test_evaluate_traced_reuses_texts_of_an_identical_prefix_only():
-    # An attempt reuses the previous attempt's texts when its list starts
-    # with the previous list object for object.  1, Fraction(1) and True are
-    # equal but print as 1, "1/1" and true, so a prefix matched by == would
-    # print an earlier object's text; so would a shorter list read as an
-    # extension, or a list compared with itself after changing in place.
+    # A machine without a settle has each attempt's list encoded afresh,
+    # through the trace's memo keyed by object identity.  1, Fraction(1) and
+    # True are equal but print as 1, "1/1" and true, so texts matched by ==
+    # would print an earlier object's text; so would texts kept from an
+    # earlier attempt for a list that since shrank, was reordered or changed
+    # in place.
     one, whole, true, half = 1, Fraction(1), True, Fraction(1, 2)
     grown = [one]
     lists = [
@@ -684,6 +686,81 @@ def test_evaluate_traced_reuses_texts_of_an_identical_prefix_only():
     expected = [[encode_value(needed) for needed in listed] for listed in seen]
     # json.dumps tells 1 from true, which == does not.
     assert json.dumps(texts) == json.dumps(expected)
+
+
+def test_use_first_records_encode_their_lists():
+    assert_records_encode_their_lists(use_first(inversion_machine()),
+                                      FAR_NAMES + NEAR_NAMES, EPSILONS,
+                                      (0, 5, 24))
+    assert_records_encode_their_lists(use_first(sign_machine()),
+                                      corpus_names(SIGN_POINTS), (0, 3, 12),
+                                      (0, 5, 24))
+
+
+def test_composite_records_encode_their_lists():
+    assert_records_encode_their_lists(inversion_chain(2), FAR_NAMES + NEAR_NAMES,
+                                      EPSILONS, (0, 5, 16))
+    assert_records_encode_their_lists(inversion_chain(3), FAR_NAMES + NEAR_NAMES,
+                                      EPSILONS, (0, 5, 8))
+    assert_records_encode_their_lists(
+        compose_monotone(kleenean_to_bool_machine(), use_first(sign_machine()),
+                         OPT_NONE), corpus_names(SIGN_POINTS), (STAR,), (0, 5, 24))
+
+
+def test_composite_records_encode_their_lists_on_re_settled_lists():
+    # On -1/131072 some intermediate questions first answer above an effort
+    # whose outer list needs them, so both composites settle their outer
+    # stage again: the counts show the branch was taken.
+    settles = [0, 0, 0]
+
+    def stage(index):
+        first = use_first(inversion_machine())
+
+        def settle(phi, cap):
+            settles[index] += 1
+            return first.settle(phi, cap)
+
+        return dataclasses.replace(first, settle=settle)
+
+    chain = compose_monotone(stage(2), compose_monotone(stage(1), stage(0),
+                                                        Fraction(0)),
+                             Fraction(0))
+    assert_records_encode_their_lists(chain, [exact_name(Fraction(-1, 131072))],
+                                      (Fraction(1),), (24,))
+    assert settles[0] == 2 and settles[1] > 2 and settles[2] > 2
+
+
+def encode_value_calls(monkeypatch):
+    calls = [0]
+
+    def counted(value):
+        calls[0] += 1
+        return encode_value(value)
+
+    monkeypatch.setattr("contmach.machines.encode_value", counted)
+    return calls
+
+
+def test_untraced_evaluate_encodes_nothing(monkeypatch):
+    calls = encode_value_calls(monkeypatch)
+    for mm in (use_first(inversion_machine()), inversion_chain(2),
+               inversion_chain(3)):
+        for point in (Fraction(0), Fraction(7, 5), Fraction(-1, 131072)):
+            evaluate(mm, exact_name(point), Fraction(1), 24, "linear")
+    assert calls == [0]
+
+
+def test_a_trace_encodes_each_question_object_once(monkeypatch):
+    # One encoder serves every record of the trace: its 1,785 entries are 17
+    # distinct dyadic questions, one shared object each, so 17 encodings.
+    calls = encode_value_calls(monkeypatch)
+    result, trace = evaluate_traced(inversion_chain(2), exact_name(Fraction(0)),
+                                    Fraction(1, 8), 16, "linear")
+    assert result is None
+    entries = [text for attempt in trace["attempts"]
+               for text in attempt["modulus"]]
+    assert len(entries) == 1785 and len(set(entries)) == 17
+    assert calls == [17]
 
 
 # The grid name of 0 answers every question like its exact name.

@@ -146,6 +146,10 @@ def vectors() -> list:
         runs.append(["compose", "--pipeline", "invert|invert|invert",
                      "--value", "0", "--eps", "1/8", "--max-effort", "16",
                      "--schedule", "linear", "--format", output])
+        # Both composites settle their outer stage again, 43 times in all.
+        runs.append(["compose", "--pipeline", "invert|invert|invert",
+                     "--value=-1/131072", "--eps", "1", "--max-effort", "4096",
+                     "--format", output])
         runs.append(["compose", "--pipeline", "invert|invert", "--value", "7/5",
                      "--eps", "1/1024", "--format", output, "--output", OUTPUT])
         runs.append(["associate-trace", "--machine", "sign", "--value=-3/1000",
