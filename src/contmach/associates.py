@@ -45,7 +45,9 @@ def dialogue_machine(associate: AssociateFn) -> MonotoneMachine:
     the record's answer is the last round's, at effort len(rounds) - 1, and
     its modulus at n lists the questions of the first n rounds, or their
     texts when it is given an encoder.  Evaluating it therefore consults the
-    associate once per round.
+    associate once per round.  Each of these runs is one ``dialogue_trace``,
+    so the associates ``machine_to_associate`` builds resume their walk from
+    round to round within it.
     """
 
     def machine(phi, effort, question):
@@ -88,8 +90,18 @@ def machine_to_associate(machine_like, question_default, answer_default) -> Asso
 
     The associate of ``use_first(m)`` walks ``m``: the walk stops at the
     first uncovered modulus or answer, which committing to the first answer
-    does not move, so every consultation is the same, and reading effort E
-    takes ~E raw calls.
+    does not move, so every consultation is the same.
+
+    Called on its own, the associate walks from effort 0, so a consultation
+    that reads effort E takes ~E raw calls.  It also carries a private
+    ``_walk(state, question, start)`` that starts at effort ``start`` and
+    returns the step with the effort where it stopped (s + 1 after
+    ``question_default``); ``dialogue_trace`` starts each consultation where
+    the previous one stopped.  The one assumption is that the modulus is
+    self-modulating: each round only adds first-match pairs, so every effort
+    the previous consultation found covered and silent replays unchanged.
+    A dialogue of r rounds whose last consultation stops at effort E then
+    walks r + E efforts in all, not up to r * E.
 
     The padded oracle and the check for unbound questions both read the
     transcript's first-match index, so each costs one key per question
@@ -101,19 +113,23 @@ def machine_to_associate(machine_like, question_default, answer_default) -> Asso
     machine_like = getattr(machine_like, "_first_of", None) or machine_like
     machine, modulus = _parts(machine_like, "machine_to_associate")
 
-    def associate(state: FiniteFunction, question):
+    def walk(state: FiniteFunction, question, start):
         padded = extend_with_default(state, answer_default)
         bound = state._index
-        for effort in range(state.size + 1):
+        for effort in range(start, state.size + 1):
             needed = modulus(padded, effort, question)
             missing = [q for q in needed if _key(q) not in bound]
             if missing:
-                return Query(tuple(missing))
+                return Query(tuple(missing)), effort
             value = machine(padded, effort, question)
             if value is not None:
-                return Answer(value)
-        return Query((question_default,))
+                return Answer(value), effort
+        return Query((question_default,)), state.size + 1
 
+    def associate(state: FiniteFunction, question):
+        return walk(state, question, 0)[0]
+
+    associate._walk = walk
     return associate
 
 
@@ -158,13 +174,25 @@ def dialogue_trace(associate: AssociateFn, phi: NameOracle, question,
 
     A round's questions are put to ``phi`` only when another round follows,
     so the queries of the last round before the cap stay unanswered.
+
+    Each round's transcript extends the previous one by the answers to its
+    questions.  So when the associate carries a resumable ``_walk``, as
+    those of ``machine_to_associate`` do, each consultation starts at the
+    effort where the previous one stopped, which for a self-modulating
+    modulus gives the rounds of walking from effort 0.  Any other associate
+    is consulted per round.  The resume point lives in this call only, so
+    nested and interleaved dialogues do not share it.
     """
-    state = FiniteFunction()
+    walk = getattr(associate, "_walk", None)
+    state, start = FiniteFunction(), 0
     rounds = []
     for _ in range(max_rounds):
         if rounds:
             state = state.append_pairs(tuple((q, phi(q)) for q in rounds[-1].payload))
-        step = associate(state, question)
+        if walk is None:
+            step = associate(state, question)
+        else:
+            step, start = walk(state, question, start)
         if isinstance(step, Answer):
             rounds.append(DialogueRound(state.size, "answer", step.value))
             break

@@ -156,6 +156,13 @@ def counting_machine(cm, calls):
     return ContinuousMachine(machine, modulus, cm.in_space, cm.out_space)
 
 
+def per_round(associate):
+    """The same associate without its resumable walk, so that
+    ``dialogue_trace`` consults it per round, each consultation walking from
+    effort 0."""
+    return lambda state, question: associate(state, question)
+
+
 # ---------------------------------------------------------------------------
 # Per-effort reference for evaluate_traced
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from _families import (all_small_oracles, assert_records_encode_their_lists,
-                       counting_machine, monotone_threshold,
+                       counting_machine, monotone_threshold, per_round,
                        random_threshold_spec, threshold_machine, ThresholdSpec,
                        traced_by_attempts)
 from contmach import (Answer, ContinuousMachine, FiniteFunction, Query,
@@ -307,18 +307,123 @@ def test_inversion_dialogue_is_unchanged_by_use_first(x):
 
 
 def test_associate_of_use_first_makes_the_raw_calls_of_the_raw_machine():
-    # Each consultation reads effort E in ~E raw calls; rescanning efforts
-    # 0..e through use_first at every e made 10,912 machine and 5,984
-    # modulus calls here.
+    # Consulted per round, each consultation reads effort E in ~E raw calls;
+    # rescanning efforts 0..e through use_first at every e made 10,912
+    # machine and 5,984 modulus calls here.  dialogue_trace resumes the walk
+    # where the previous consultation stopped, so each round after the first
+    # makes one machine and two modulus calls.
     for wrap in (lambda cm: cm, use_first, lambda cm: use_first(use_first(cm))):
-        calls = [0, 0]
-        associate = machine_to_associate(
-            wrap(counting_machine(inversion_machine(), calls)),
-            Fraction(0), Fraction(0))
-        trace = dialogue_trace(associate, exact_name(Fraction(0)),
-                               Fraction(1, 8), 32)
-        assert not trace.answered and len(trace.rounds) == 32
-        assert calls == [496, 528]
+        for consult, want in ((per_round, [496, 528]), (lambda a: a, [31, 63])):
+            calls = [0, 0]
+            associate = machine_to_associate(
+                wrap(counting_machine(inversion_machine(), calls)),
+                Fraction(0), Fraction(0))
+            trace = dialogue_trace(consult(associate), exact_name(Fraction(0)),
+                                   Fraction(1, 8), 32)
+            assert not trace.answered and len(trace.rounds) == 32
+            assert calls == want
+
+
+def test_long_dialogue_makes_a_bounded_number_of_raw_calls_per_round():
+    # 1,024 rounds on 0: each round after the first reads the effort the
+    # previous one stopped at (one machine and one modulus call) and the
+    # next, uncovered one (one modulus call).  Walked from effort 0 at every
+    # consultation it would make 523,776 machine and 524,800 modulus calls.
+    calls = [0, 0]
+    associate = machine_to_associate(
+        use_first(counting_machine(inversion_machine(), calls)),
+        Fraction(0), Fraction(0))
+    trace = dialogue_trace(associate, exact_name(Fraction(0)), Fraction(1, 8),
+                           1024)
+    assert not trace.answered and len(trace.rounds) == 1024
+    assert calls == [1023, 2047]
+
+
+def assert_resumes_like_per_round(associate, phi, question, rounds):
+    resumed = dialogue_trace(associate, phi, question, rounds)
+    assert resumed == dialogue_trace(per_round(associate), phi, question,
+                                     rounds), (question, rounds)
+    return resumed
+
+
+def test_resumed_walk_matches_per_round_walk_on_threshold_families():
+    rng = random.Random(25)
+    oracles = all_small_oracles()
+    specs = [random_threshold_spec(rng, allow_dead=True) for _ in range(40)]
+    specs += [ThresholdSpec(1, 2, base=1, spread=2, salt=1, vary=True),
+              ThresholdSpec(0, 1, base=0, spread=3, salt=2, dead_stride=4)]
+    assert any(spec.vary for spec in specs)
+    assert any(spec.dead_stride for spec in specs)
+    answered = set()
+    for spec in specs:
+        for wrap in (lambda cm: cm, use_first):
+            associate = machine_to_associate(wrap(threshold_machine(spec)),
+                                             rng.randrange(3), rng.randrange(3))
+            for _ in range(40):
+                trace = assert_resumes_like_per_round(
+                    associate, rng.choice(oracles), rng.randrange(3),
+                    rng.randrange(14))
+                answered.add(trace.answered)
+    assert answered == {False, True}
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(7, 5), Fraction(1, 10 ** 6),
+                               Fraction(-3)])
+def test_resumed_walk_matches_per_round_walk_on_inversion(x):
+    rng = random.Random(int(x * 10 ** 6))
+    associate = machine_to_associate(use_first(inversion_machine()),
+                                     Fraction(0), Fraction(0))
+    for name in (exact_name(x), grid_name(x)):
+        for eps in (Fraction(1, 8), Fraction(1, 2 ** 30)):
+            trace = assert_resumes_like_per_round(associate, name, eps, 64)
+            assert trace.answered == (x != 0)
+            for rounds in rng.choices(range(len(trace.rounds)), k=6):
+                assert_resumes_like_per_round(associate, name, eps, rounds)
+
+
+def test_resumed_walk_matches_per_round_walk_on_sign():
+    rng = random.Random(1000)
+    associate = machine_to_associate(use_first(sign_machine()),
+                                     Fraction(0), Fraction(0))
+    for x in (Fraction(0), Fraction(1, 1000), Fraction(-1, 1000)):
+        for name in (exact_name(x), grid_name(x)):
+            for _ in range(12):
+                assert_resumes_like_per_round(associate, name, rng.randrange(25),
+                                              rng.randrange(1, 40))
+
+
+def test_resumed_walk_matches_per_round_walk_through_dialogue_machines():
+    # The dialogue machine runs dialogue_trace in its settle and in its
+    # per-effort functions; machine_to_associate of a dialogue machine nests
+    # one dialogue inside each step of another.
+    rng = random.Random(2)
+    zero = Fraction(0)
+    associate = machine_to_associate(use_first(inversion_machine()), zero, zero)
+    resumed, walked = (dialogue_machine(associate),
+                       dialogue_machine(per_round(associate)))
+    answered = set()
+    for x in (zero, Fraction(7, 5), Fraction(1, 10 ** 6), Fraction(-3)):
+        for name in (exact_name(x), grid_name(x)):
+            eps = rng.choice((Fraction(1, 8), Fraction(1, 2 ** 30)))
+            cap = rng.randrange(40)
+            for schedule in ("linear", "powers_of_two"):
+                assert (evaluate(resumed, name, eps, cap, schedule)
+                        == evaluate(walked, name, eps, cap, schedule))
+                assert (evaluate_traced(resumed, name, eps, cap, schedule)
+                        == evaluate_traced(walked, name, eps, cap, schedule))
+            for effort in (rng.randrange(40) for _ in range(4)):
+                for fn in ("machine", "modulus"):
+                    assert (getattr(resumed, fn)(name, effort, eps)
+                            == getattr(walked, fn)(name, effort, eps)), \
+                        (x, effort, fn)
+            nested = machine_to_associate(resumed, zero, zero)
+            reference = machine_to_associate(walked, zero, zero)
+            rounds = rng.randrange(8, 24)
+            trace = dialogue_trace(nested, name, eps, rounds)
+            assert trace == dialogue_trace(per_round(reference), name, eps,
+                                           rounds)
+            answered.add(trace.answered)
+    assert answered == {False, True}
 
 
 def scan_associate(machine_like, question_default, answer_default):

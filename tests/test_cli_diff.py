@@ -68,4 +68,4 @@ def test_long_vectors_are_shortened():
 
 def test_vector_list_has_no_duplicates():
     runs = [tuple(argv) for argv in cli_diff.vectors()]
-    assert len(runs) == len(set(runs)) == 239
+    assert len(runs) == len(set(runs)) == 242

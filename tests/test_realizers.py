@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from _families import per_round
 from contmach import associates
 from contmach.alphabets import _scale
 from contmach import (FiniteMultifunction, INVERSION_POINTS, OPT_NONE,
@@ -426,7 +427,9 @@ def counting(name):
 
 def test_associate_walk_asks_each_scale_once_per_effort(monkeypatch):
     # At each effort the walk asks the modulus and then the machine on one
-    # padded name; the machine reuses the modulus's scale query.
+    # padded name; the machine reuses the modulus's scale query.  Consulted
+    # per round, each consultation walks from effort 0; dialogue_trace
+    # resumes each walk at the effort where the previous one stopped.
     pad, padded_names = associates.extend_with_default, []
 
     def extend(state, default):
@@ -437,15 +440,22 @@ def test_associate_walk_asks_each_scale_once_per_effort(monkeypatch):
     monkeypatch.setattr(associates, "extend_with_default", extend)
     effort_of = {id(_scale(n)): n for n in range(64)}
     for x in (Fraction(0), Fraction(7, 5), Fraction(1, 10 ** 6)):
-        padded_names.clear()
-        transcript = dialogue_trace(machine_to_associate(inversion_machine(), 0, 0),
-                                    exact_name(x), Fraction(1, 8), 40)
-        assert len(padded_names) == len(transcript.rounds)
-        for asked in padded_names:
-            efforts = [effort_of[id(q)] for q in asked if id(q) in effort_of]
-            assert efforts == list(range(len(efforts))), x
-            assert max(Counter(asked).values()) == 1, x
-        assert transcript.answered == (x != 0)
+        for resumed in (False, True):
+            padded_names.clear()
+            associate = machine_to_associate(inversion_machine(), 0, 0)
+            if not resumed:
+                associate = per_round(associate)
+            transcript = dialogue_trace(associate, exact_name(x),
+                                        Fraction(1, 8), 40)
+            assert len(padded_names) == len(transcript.rounds)
+            stopped = 0
+            for asked in padded_names:
+                efforts = [effort_of[id(q)] for q in asked if id(q) in effort_of]
+                first = stopped if resumed else 0
+                assert efforts == list(range(first, first + len(efforts))), x
+                assert max(Counter(asked).values()) == 1, x
+                stopped = efforts[-1]
+            assert transcript.answered == (x != 0)
 
 
 def reference_queries(name, effort, accuracy):

@@ -137,6 +137,15 @@ def vectors() -> list:
         for point in ("0", "-3/1000", "1"):
             runs.append(["associate-trace", "--machine", "sign",
                          f"--value={point}", "--index", "5", "--max-rounds", rounds])
+    # Long dialogues, whose consultations each resume the previous walk.
+    runs += [
+        ["associate-trace", "--machine", "invert", "--value", "0",
+         "--eps", "1/8", "--max-rounds", "1024"],
+        ["associate-trace", "--machine", "invert", "--value", "1e-6",
+         "--eps", "1/1073741824", "--max-rounds", "64"],
+        ["associate-trace", "--machine", "sign", "--value", "1/1000",
+         "--index", "12"],
+    ]
     for machine in ("invert", "sign"):
         for cap in ("0", "8"):
             runs.append(["check", "--machine", machine, "--corpus", CORPUS,
