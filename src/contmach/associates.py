@@ -101,7 +101,11 @@ def machine_to_associate(machine_like, question_default, answer_default) -> Asso
     self-modulating: each round only adds first-match pairs, so every effort
     the previous consultation found covered and silent replays unchanged.
     A dialogue of r rounds whose last consultation stops at effort E then
-    walks r + E efforts in all, not up to r * E.
+    walks r + E efforts in all, not up to r * E.  On that resumed path the
+    walk's state is not a ``FiniteFunction`` but the dialogue's one
+    transcript, grown in place between consultations; the walk reads only
+    its ``_index`` and ``size``, and each consultation still pads it into a
+    fresh oracle.
 
     The padded oracle and the check for unbound questions both read the
     transcript's first-match index, so each costs one key per question
@@ -113,7 +117,7 @@ def machine_to_associate(machine_like, question_default, answer_default) -> Asso
     machine_like = getattr(machine_like, "_first_of", None) or machine_like
     machine, modulus = _parts(machine_like, "machine_to_associate")
 
-    def walk(state: FiniteFunction, question, start):
+    def walk(state, question, start):
         padded = extend_with_default(state, answer_default)
         bound = state._index
         for effort in range(start, state.size + 1):
@@ -168,6 +172,27 @@ class DialogueTranscript:
         }
 
 
+class _Transcript:
+    """The transcript of one resumed dialogue, grown in place.
+
+    It has the two attributes the walk reads from a ``FiniteFunction``:
+    ``_index``, each question's key (``_key``) mapped to its first answer,
+    and ``size``, which counts entries, duplicates included.
+    """
+
+    __slots__ = ("_index", "size")
+
+    def __init__(self):
+        self._index, self.size = {}, 0
+
+    def bind(self, questions, phi: NameOracle) -> None:
+        """Append each question with ``phi``'s answer; the first answer wins."""
+        bind = self._index.setdefault
+        for asked in questions:
+            bind(_key(asked), phi(asked))
+        self.size += len(questions)
+
+
 def dialogue_trace(associate: AssociateFn, phi: NameOracle, question,
                    max_rounds: int) -> DialogueTranscript:
     """Record each consultation of the associate until it answers or the cap.
@@ -179,19 +204,26 @@ def dialogue_trace(associate: AssociateFn, phi: NameOracle, question,
     questions.  So when the associate carries a resumable ``_walk``, as
     those of ``machine_to_associate`` do, each consultation starts at the
     effort where the previous one stopped, which for a self-modulating
-    modulus gives the rounds of walking from effort 0.  Any other associate
-    is consulted per round.  The resume point lives in this call only, so
-    nested and interleaved dialogues do not share it.
+    modulus gives the rounds of walking from effort 0.  The walk's state is
+    then one transcript that grows in place for the whole dialogue, so a
+    round costs its own questions, not a copy of the transcript.  Any other
+    associate is consulted per round, on an immutable ``FiniteFunction``
+    per round, since it may keep the states it is given.  The transcript
+    and the resume point live in this call only, so nested and interleaved
+    dialogues do not share them.
     """
     walk = getattr(associate, "_walk", None)
-    state, start = FiniteFunction(), 0
+    state, start = FiniteFunction() if walk is None else _Transcript(), 0
     rounds = []
     for _ in range(max_rounds):
-        if rounds:
-            state = state.append_pairs(tuple((q, phi(q)) for q in rounds[-1].payload))
         if walk is None:
+            if rounds:
+                state = state.append_pairs(
+                    tuple((q, phi(q)) for q in rounds[-1].payload))
             step = associate(state, question)
         else:
+            if rounds:
+                state.bind(rounds[-1].payload, phi)
             step, start = walk(state, question, start)
         if isinstance(step, Answer):
             rounds.append(DialogueRound(state.size, "answer", step.value))

@@ -378,7 +378,8 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
 
     At effort n the inner machine's answers, padded with the default where it
     is still silent, form an intermediate oracle; one padding builds it for
-    the per-effort machine and modulus and for the settle alike.  The
+    the per-effort machine and modulus, and the settle's oracle reads the
+    inner records itself.  The
     composite answers only when every question on the outer modulus list is
     one the inner machine has actually answered at effort n, so the padding
     can never influence a returned value.  The intermediate answer set is
@@ -451,16 +452,23 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
                 record = records[key] = settle_one(question)
             return record
 
-        def answer_at(effort):
-            # The inner machine's answers at ``effort``, read off its records.
-            def answer(question):
-                found = inner_settled(question).found
-                return (None if found is None or found.effort > effort
-                        else found.value)
+        def padded_at(effort):
+            # The intermediate oracle at ``effort``: the inner records'
+            # answers there, or the default.  It reads the records itself,
+            # so each stage of a pipeline adds as few frames as it can to
+            # the stack of the first settle, which recurses through them.
+            def padded(question):
+                key = _key(question)
+                record = records.get(key)
+                if record is None:
+                    record = records[key] = settle_one(question)
+                found = record.found
+                return (intermediate_default if found is None
+                        or found.effort > effort else found.value)
 
-            return answer
+            return padded
 
-        outer_settled = settle_outer(padded_by(answer_at(cap)), cap)
+        outer_settled = settle_outer(padded_at(cap), cap)
 
         def first(record) -> Optional[Evaluation]:
             found = record.found
@@ -483,7 +491,7 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
                 inner_records = list(map(inner_settled, record.modulus(effort)))
                 if any(found is not None and found.effort > effort
                        for found, _ in inner_records):
-                    outer_list = settle_outer(padded_by(answer_at(effort)),
+                    outer_list = settle_outer(padded_at(effort),
                                               effort)(question).modulus(effort)
                     inner_records = map(inner_settled, outer_list)
                 return list(chain.from_iterable(

@@ -8,6 +8,7 @@ from _families import (all_small_oracles, assert_records_encode_their_lists,
                        counting_machine, monotone_threshold, per_round,
                        random_threshold_spec, threshold_machine, ThresholdSpec,
                        traced_by_attempts)
+from contmach.associates import _questions
 from contmach import (Answer, ContinuousMachine, FiniteFunction, Query,
                       compose_monotone, constant_oracle, dialogue_machine,
                       dialogue_trace, evaluate, evaluate_traced, exact_name,
@@ -424,6 +425,115 @@ def test_resumed_walk_matches_per_round_walk_through_dialogue_machines():
                                            rounds)
             answered.add(trace.answered)
     assert answered == {False, True}
+
+
+def composite_chain(depth):
+    # ``depth`` use_first inversions, each composed over the one before.
+    chain = use_first(inversion_machine())
+    for _ in range(depth - 1):
+        chain = compose_monotone(use_first(inversion_machine()), chain,
+                                 Fraction(0))
+    return chain
+
+
+def zero_once():
+    # A name that answers 0 the first time it is asked a question and 1
+    # every later time.
+    asked = set()
+
+    def name(question):
+        if question in asked:
+            return Fraction(1)
+        asked.add(question)
+        return Fraction(0)
+
+    return name
+
+
+def test_resumed_walk_matches_per_round_walk_on_composites():
+    # A composite's modulus lists the inner stage's lists for every question
+    # on the outer list, so its queries repeat questions: the transcript's
+    # size counts them all and the first answer bound wins.  Depth 3 on the
+    # points below 1 stops at 12 rounds: at 16 it takes 0.5-0.8 s per name
+    # walked per round.
+    rng = random.Random(29)
+    zero = Fraction(0)
+    answered, repeated = set(), False
+    for depth in (2, 3):
+        associate = machine_to_associate(composite_chain(depth), zero, zero)
+        for x in (zero, Fraction(1, 2 ** 20), Fraction(7, 5), Fraction(-3)):
+            for name in (exact_name(x), grid_name(x)):
+                longest = 12 if depth == 3 and abs(x) < 1 else 32
+                for rounds in (longest, rng.randrange(1, longest)):
+                    trace = assert_resumes_like_per_round(
+                        associate, name, Fraction(1, 1024), rounds)
+                    asked = _questions(trace.rounds)
+                    repeated = repeated or len(set(asked)) < len(asked)
+                    answered.add(trace.answered)
+    assert answered == {False, True} and repeated
+    # A name that answers 0 only the first time it is asked a question: the
+    # first answer bound wins, so the dialogue is the one on 0.
+    associate = machine_to_associate(composite_chain(2), zero, zero)
+    on_zero = dialogue_trace(associate, exact_name(zero), Fraction(1, 1024), 24)
+    for consult in (associate, per_round(associate)):
+        assert dialogue_trace(consult, zero_once(), Fraction(1, 1024),
+                              24) == on_zero
+    # An associate of a dialogue machine: each of its steps runs a whole
+    # resumed dialogue with the depth-2 composite's associate.
+    inner = machine_to_associate(composite_chain(2), zero, zero)
+    resumed = machine_to_associate(dialogue_machine(inner), zero, zero)
+    walked = machine_to_associate(dialogue_machine(per_round(inner)), zero, zero)
+    for x in (zero, Fraction(7, 5), Fraction(-3)):
+        for name in (exact_name(x), grid_name(x)):
+            rounds = rng.randrange(6, 13)
+            trace = dialogue_trace(resumed, name, Fraction(1, 8), rounds)
+            assert trace == dialogue_trace(per_round(walked), name,
+                                           Fraction(1, 8), rounds), x
+            assert trace.answered == (x != 0)
+
+
+def test_resumed_dialogue_grows_its_transcript_without_copying(monkeypatch):
+    # 4,096 rounds on 0 make one machine and two modulus calls per round
+    # after the first, as 1,024 do above, and the resumed walk's transcript
+    # grows in place, never through append_pairs, whose copy of the index
+    # made such a dialogue quadratic in its rounds.
+    def refuse(state, pairs):
+        raise AssertionError("a resumed dialogue copied its transcript")
+
+    monkeypatch.setattr(FiniteFunction, "append_pairs", refuse)
+    calls = [0, 0]
+    associate = machine_to_associate(
+        use_first(counting_machine(inversion_machine(), calls)),
+        Fraction(0), Fraction(0))
+    trace = dialogue_trace(associate, exact_name(Fraction(0)), Fraction(1, 8),
+                           4096)
+    assert not trace.answered and len(trace.rounds) == 4096
+    assert [r.size for r in trace.rounds] == list(range(4096))
+    assert calls == [4095, 8191]
+
+
+def test_per_round_associates_may_keep_the_states_they_are_given():
+    # Consulted per round, an associate is given one immutable
+    # FiniteFunction per round, so states it keeps do not change later.
+    kept = []
+    zero = Fraction(0)
+    associate = machine_to_associate(composite_chain(2), zero, zero)
+
+    def keeping(state, question):
+        kept.append((state, state.size, state.entries, dict(state._index)))
+        return associate(state, question)
+
+    for x in (zero, Fraction(7, 5)):
+        kept.clear()
+        trace = dialogue_trace(keeping, exact_name(x), Fraction(1, 1024), 24)
+        assert len(kept) == len(trace.rounds)
+        for (state, size, entries, index), r in zip(kept, trace.rounds):
+            assert isinstance(state, FiniteFunction)
+            assert (state.size, state.entries, state._index) == (size, entries,
+                                                                 index)
+            assert size == r.size
+        # On 0 the transcript repeats questions.
+        assert (kept[-1][1] > len(kept[-1][3])) == (x == 0)
 
 
 def scan_associate(machine_like, question_default, answer_default):

@@ -220,8 +220,20 @@ def test_index_at_the_limit_still_runs(capsys):
     assert '"answer": true' in capsys.readouterr().out
 
 
-#: ~125 invert stages outgrow Python's stack, as each settles the one before.
+#: ~165 invert stages outgrow Python's stack, as each settles the one before.
 LONG_PIPELINE = "|".join(["invert"] * 1000)
+
+
+def test_a_pipeline_of_150_stages_runs_to_its_cap(capsys):
+    # Each stage adds six frames to the first settle's stack: the
+    # composite's and use_first's records, the effort search, the inversion
+    # machine and its query, and the intermediate oracle that reads the
+    # inner records.  The second stage is silent at effort 0, so the run
+    # ends at the cap without an answer.
+    pipeline = "|".join(["invert"] * 150)
+    assert main(["compose", "--pipeline", pipeline, "--value", "2",
+                 "--eps", "1", "--max-effort", "0"]) == 2
+    assert '"answer": null' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv, corpus, message", [

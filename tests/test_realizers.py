@@ -616,3 +616,45 @@ def test_corpus_loading_and_grid_names():
     assert grid(Fraction(-1)) == Fraction(7, 5)
     space = rational_reals()
     assert space.is_name(grid, Fraction(7, 5))
+
+
+# ---------------------------------------------------------------------------
+# Grid names against their formula
+
+
+def grid_formula(p, q, a, d):
+    # The grid name of p/q at accuracy a/d > 0: the nearest multiple of
+    # a/(2d), ties rounded up, in integers only.
+    return Fraction(a * ((4 * p * d + q * a) // (2 * q * a)), 2 * d)
+
+
+def test_grid_name_matches_its_integer_formula():
+    rng = random.Random(2029)
+    ties = negative = whole = 0
+    for case in range(4000):
+        if rng.randrange(3):
+            accuracy = Fraction(rng.randrange(1, 10 ** rng.randrange(1, 8)),
+                                rng.choice((1, 3, 10 ** rng.randrange(6),
+                                            2 ** rng.randrange(80))))
+        else:
+            accuracy = rng.randrange(1, 100)
+        a, d = Fraction(accuracy).as_integer_ratio()
+        if case % 4 == 0:
+            # A tie: an odd multiple of a quarter of the accuracy.
+            point = Fraction(2 * rng.randrange(-10 ** 6, 10 ** 6) + 1) * a / (4 * d)
+        else:
+            point = Fraction(rng.randrange(-10 ** 9, 10 ** 9),
+                             rng.randrange(1, 2 ** rng.randrange(1, 64)))
+        p, q = point.as_integer_ratio()
+        ties += (4 * p * d + q * a) % (2 * q * a) == 0
+        negative += point < 0
+        whole += type(accuracy) is int
+        assert grid_name(point)(accuracy) == grid_formula(p, q, a, d), \
+            (point, accuracy)
+    assert min(ties, negative, whole) >= 900, (ties, negative, whole)
+    # Ties round up, on either side of 0.
+    assert grid_name(Fraction(1, 4))(1) == Fraction(1, 2)
+    assert grid_name(Fraction(-1, 4))(1) == 0
+    for point in (Fraction(0), Fraction(7, 5), Fraction(-3, 8), Fraction(5)):
+        for accuracy in (0, -1, Fraction(-1, 3), Fraction(0), -10 ** 20):
+            assert grid_name(point)(accuracy) == point
