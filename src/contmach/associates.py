@@ -44,10 +44,12 @@ def dialogue_machine(associate: AssociateFn) -> MonotoneMachine:
     Its ``settle(phi, cap)`` runs the dialogue once for cap + 1 rounds:
     the record's answer is the last round's, at effort len(rounds) - 1, and
     its modulus at n lists the questions of the first n rounds, or their
-    texts when it is given an encoder.  Evaluating it therefore consults the
-    associate once per round.  Each of these runs is one ``dialogue_trace``,
-    so the associates ``machine_to_associate`` builds resume their walk from
-    round to round within it.
+    texts when it is given an encoder.  The record is a ``_Settled`` given a
+    function of the transcript, which makes each list when it is asked for.
+    Evaluating it therefore consults the associate once per round.  Each of
+    these runs is one ``dialogue_trace``, so the associates
+    ``machine_to_associate`` builds resume their walk from round to round
+    within it.
     """
 
     def machine(phi, effort, question):

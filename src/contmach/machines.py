@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .alphabets import Alphabet, NameOracle, _key, encode_value, restriction_eq
@@ -68,15 +67,17 @@ class _SettlingMachine(MonotoneMachine):
     """A monotone machine that can settle a question in one pass.
 
     ``settle(phi, cap)`` is the settled context of one evaluation: a function
-    mapping a question to its ``_Settled`` record.  The record's ``found`` is
-    the first effort <= cap at which the machine answers, with that answer,
-    or None; its ``modulus(n)`` is the list ``modulus(phi, n, question)`` at
-    any effort n up to the cap, read off the same search under the monotone
-    contract, so a trace of the evaluation needs no second settle, and
-    ``modulus(n, encode)`` is that list's texts, rendered by the record
-    itself.  The context keeps no memo of its own: ``compose_monotone``
-    caches its inner stage's records, the only ones asked for again within
-    one evaluation.
+    mapping a question to its record, an object with two names.  The
+    record's ``found`` is the first effort <= cap at which the machine
+    answers, with that answer, or None; its ``modulus(n)`` is the list
+    ``modulus(phi, n, question)`` at any effort n up to the cap, read off the
+    same search under the monotone contract, so a trace of the evaluation
+    needs no second settle, and ``modulus(n, encode)`` is that list's texts,
+    rendered by the record itself.  A record holds what it was settled from
+    and makes its lists on the first ask, so an untraced evaluation builds
+    none it does not read.  The context keeps no memo of its own:
+    ``compose_monotone`` caches its inner stage's records, the only ones
+    asked for again within one evaluation.
 
     ``_first_of`` is set on the machines ``use_first`` builds: the machine
     it monotonized, the innermost one when ``use_first`` is nested.
@@ -118,6 +119,11 @@ class _Settled(NamedTuple):
     ``modulus(n, encode)`` is the same list with each question q replaced by
     ``encode(q)``.  A record may keep the texts it made, so it is given one
     encoder, the one of the trace that reads it.
+
+    This is the record whose ``modulus`` is a function given to it: a
+    scanned machine's, and ``dialogue_machine``'s.  ``use_first`` and
+    ``compose_monotone`` build objects of their own classes with the same
+    two names, ``_FirstSettled`` and ``_ComposedSettled``.
     """
 
     found: Optional[Evaluation]
@@ -168,10 +174,11 @@ def _evaluation(machine_like, phi: NameOracle, question, efforts):
     settle = getattr(machine_like, "settle", None)
     if settle is None or not efforts:
         return _scan_settle(machine_like, phi, efforts, question)
-    found, at = settle(phi, efforts[-1])(question)
+    record = settle(phi, efforts[-1])(question)
+    found = record.found
     if found is not None:
         found = Evaluation(found.value, efforts[bisect_left(efforts, found.effort)])
-    return found, at
+    return found, record.modulus
 
 
 def _first_answer(machine: MachineFn, phi: NameOracle, question,
@@ -289,6 +296,40 @@ def in_F_M(machine_like, phi: NameOracle, candidate: NameOracle,
 # Monotonization
 
 
+class _FirstSettled:
+    """``use_first``'s record of one question: ``found``, the first answer up
+    to the cap, and ``modulus(n, encode=None)``, the raw modulus lists at
+    efforts 0..min(n, f) concatenated, f the first answering effort (n where
+    there is none up to the cap).
+
+    The record holds only what it was settled from.  Its lists are made on
+    the first ask and extended as n grows, so each raw modulus is computed
+    once and each entry encoded once, whatever the order of the asks.
+    """
+
+    __slots__ = ("found", "_modulus", "_phi", "_question", "_collected",
+                 "_ends", "_texts")
+
+    def __init__(self, found, modulus, phi, question):
+        self.found, self._modulus, self._phi, self._question = (
+            found, modulus, phi, question)
+        self._ends = None
+
+    def modulus(self, effort, encode=None):
+        if self._ends is None:
+            self._collected, self._ends, self._texts = [], [], []
+        collected, ends, found = self._collected, self._ends, self.found
+        last = effort if found is None else min(effort, found.effort)
+        while len(ends) <= last:
+            collected.extend(self._modulus(self._phi, len(ends), self._question))
+            ends.append(len(collected))
+        if encode is None:
+            return collected[:ends[last]]
+        texts = self._texts
+        texts.extend(map(encode, collected[len(texts):ends[last]]))
+        return texts[:ends[last]]
+
+
 def use_first(machine_like) -> MonotoneMachine:
     """Commit to the first effort at which the machine answers.
 
@@ -300,12 +341,13 @@ def use_first(machine_like) -> MonotoneMachine:
     the underlying machine is probed at an effort only when all earlier
     efforts stayed silent, so nothing is evaluated beyond the first answer.
 
-    Its ``settle`` searches efforts 0..cap once per question.  The record's
-    modulus at effort n is the concatenation above for efforts 0..min(n, f),
-    f the first answering effort (n where there is none up to the cap); it
-    is extended as n grows, so each raw modulus is computed once.  Its
-    texts, made only when a trace asks for them, are extended the same way,
-    so each entry is encoded once per record.
+    Its ``settle`` searches efforts 0..cap once per question, and its record
+    of the question is a ``_FirstSettled`` object: the answer found, and
+    what the modulus needs.  The record's modulus at effort n is the
+    concatenation above for efforts 0..min(n, f), f the first answering
+    effort (n where there is none up to the cap).  Its lists are made on the
+    first ask and extended as n grows, so each raw modulus is computed once,
+    and each entry of its texts encoded once per record.
 
     The returned machine also records the machine it monotonized (the
     innermost one when ``use_first`` is nested); ``machine_to_associate``
@@ -324,24 +366,10 @@ def use_first(machine_like) -> MonotoneMachine:
                 for needed in modulus(phi, step, question)]
 
     def first_settle(phi, cap):
-        def settled(question) -> _Settled:
-            found = _first_answer(machine, phi, question, range(cap + 1))
-            collected, ends, texts = [], [], None
-
-            def modulus_at(effort, encode=None):
-                nonlocal texts
-                last = effort if found is None else min(effort, found.effort)
-                while len(ends) <= last:
-                    collected.extend(modulus(phi, len(ends), question))
-                    ends.append(len(collected))
-                if encode is None:
-                    return collected[:ends[last]]
-                if texts is None:
-                    texts = []
-                texts.extend(map(encode, collected[len(texts):ends[last]]))
-                return texts[:ends[last]]
-
-            return _Settled(found, modulus_at)
+        def settled(question) -> _FirstSettled:
+            return _FirstSettled(
+                _first_answer(machine, phi, question, range(cap + 1)),
+                modulus, phi, question)
 
         return settled
 
@@ -370,6 +398,40 @@ def derive_modulus_machine(machine_like) -> ContinuousMachine:
 
 # ---------------------------------------------------------------------------
 # Composition of monotone machines
+
+
+class _ComposedSettled:
+    """A composite's record of one question: ``found``, its first answer up
+    to the cap, and ``modulus(n, encode=None)``, the inner records' lists at
+    n, concatenated, for the questions on its outer record's list at n.
+
+    Where one of those questions first answers above n, the outer stage is
+    settled again, up to n on the padded answers at n, for the list to read.
+    ``context`` is the evaluation's ``(inner_settled, settle_outer,
+    padded_at)``; the record makes no list until one is asked for.
+    """
+
+    __slots__ = ("found", "_outer", "_question", "_context")
+
+    def __init__(self, found, outer, question, context):
+        self.found, self._outer, self._question, self._context = (
+            found, outer, question, context)
+
+    def modulus(self, effort, encode=None):
+        inner_settled, settle_outer, padded_at = self._context
+        # The inner records of the outer list, looked up once; they are
+        # looked up again only for a re-settled list.
+        inner_records = list(map(inner_settled, self._outer.modulus(effort)))
+        for record in inner_records:
+            found = record.found
+            if found is not None and found.effort > effort:
+                inner_records = map(inner_settled, settle_outer(
+                    padded_at(effort), effort)(self._question).modulus(effort))
+                break
+        listed = []
+        for record in inner_records:
+            listed += record.modulus(effort, encode)
+        return listed
 
 
 def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
@@ -408,7 +470,10 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     trace therefore makes the settle's raw calls and no more.  A stage
     without a ``settle`` of its own is scanned along efforts 0..cap, its
     modulus called at the effort asked.  The record's texts at n are the
-    concatenation of the texts of the same inner records.
+    concatenation of the texts of the same inner records.  The record is a
+    ``_ComposedSettled`` object holding its outer record, its question and
+    the evaluation's context; it keeps no list, and builds one per ask, one
+    inner record's list after another.
     """
     inner_machine, inner_modulus = _parts(inner, "compose_monotone")
     outer_machine, outer_modulus = _parts(outer, "compose_monotone")
@@ -482,23 +547,11 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
                 effort = max(effort, needed_found.effort)
             return Evaluation(found.value, effort)
 
-        def settled(question) -> _Settled:
+        context = (inner_settled, settle_outer, padded_at)
+
+        def settled(question) -> _ComposedSettled:
             record = outer_settled(question)
-
-            def modulus_at(effort, encode=None):
-                # The inner records of the outer list, looked up once; they
-                # are looked up again only for a re-settled list.
-                inner_records = list(map(inner_settled, record.modulus(effort)))
-                if any(found is not None and found.effort > effort
-                       for found, _ in inner_records):
-                    outer_list = settle_outer(padded_at(effort),
-                                              effort)(question).modulus(effort)
-                    inner_records = map(inner_settled, outer_list)
-                return list(chain.from_iterable(
-                    inner_record.modulus(effort, encode)
-                    for inner_record in inner_records))
-
-            return _Settled(first(record), modulus_at)
+            return _ComposedSettled(first(record), record, question, context)
 
         return settled
 

@@ -198,13 +198,27 @@ def assert_records_encode_their_lists(mm, names, questions, caps):
     """Each settle record's ``modulus(n, encode)`` is its ``modulus(n)``
     encoded entry by entry, at every effort n up to the cap, asked in rising
     and in falling order on fresh records.  ``repr`` is the encoder: it tells
-    1, True and Fraction(1) apart, which ``==`` on encoded texts does not."""
+    1, True and Fraction(1) apart, which ``==`` on encoded texts does not.
+
+    A third fresh record is asked a seeded random sequence of single
+    efforts, each with or without the encoder, so its texts sometimes lag
+    and sometimes lead its list; every answer must be the one the first two
+    orders gave at that effort."""
+    rng = random.Random(5)
     for cap in caps:
         for phi in names:
             for question in questions:
+                expected = {}
                 for efforts in (range(cap + 1), range(cap, -1, -1)):
                     record = mm.settle(phi, cap)(question)
                     for n in efforts:
-                        assert (record.modulus(n, repr)
-                                == [repr(q) for q in record.modulus(n)]), \
+                        listed = [repr(q) for q in record.modulus(n)]
+                        assert record.modulus(n, repr) == listed, (cap, question, n)
+                        assert expected.setdefault(n, listed) == listed, \
                             (cap, question, n)
+                record = mm.settle(phi, cap)(question)
+                for _ in range(2 * cap + 2):
+                    n = rng.randrange(cap + 1)
+                    listed = (record.modulus(n, repr) if rng.random() < 0.5
+                              else [repr(q) for q in record.modulus(n)])
+                    assert listed == expected[n], (cap, question, n)

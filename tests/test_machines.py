@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import random
 from fractions import Fraction
@@ -710,7 +711,8 @@ def test_composite_records_encode_their_lists():
 def test_composite_records_encode_their_lists_on_re_settled_lists():
     # On -1/131072 some intermediate questions first answer above an effort
     # whose outer list needs them, so both composites settle their outer
-    # stage again: the counts show the branch was taken.
+    # stage again: the counts show the branch was taken.  The helper settles
+    # the chain afresh for each of its three orders of asks.
     settles = [0, 0, 0]
 
     def stage(index):
@@ -727,7 +729,47 @@ def test_composite_records_encode_their_lists_on_re_settled_lists():
                              Fraction(0))
     assert_records_encode_their_lists(chain, [exact_name(Fraction(-1, 131072))],
                                       (Fraction(1),), (24,))
-    assert settles[0] == 2 and settles[1] > 2 and settles[2] > 2
+    assert settles[0] == 3 and settles[1] > 3 and settles[2] > 3
+
+
+def holds_a_list(record):
+    return any(isinstance(held, list) for held in gc.get_referents(record))
+
+
+def test_an_untraced_evaluate_makes_no_modulus_list():
+    # Records hold what they were settled from and make their lists on the
+    # first ask.  An untraced evaluate asks no use_first record of the inner
+    # stage and no composite record; it asks an outer record for its list
+    # only where that record answers, to find the composite's effort.
+    def kept(mm, records):
+        def settle(phi, cap):
+            settled = mm.settle(phi, cap)
+
+            def record(question):
+                records.append(settled(question))
+                return records[-1]
+
+            return record
+
+        return dataclasses.replace(mm, settle=settle)
+
+    inners, outers, composites = [], [], []
+    inner = kept(use_first(inversion_machine()), inners)
+    outer = kept(use_first(inversion_machine()), outers)
+    composite = kept(compose_monotone(outer, inner, Fraction(0)), composites)
+    for point in (Fraction(0), Fraction(7, 5), Fraction(-1, 131072)):
+        for records in (inners, outers, composites):
+            records.clear()
+        evaluate(composite, exact_name(point), Fraction(1, 8), 24)
+        evaluate(inner, exact_name(point), Fraction(1, 8), 24)
+        assert inners and outers and composites
+        assert not any(map(holds_a_list, inners + composites)), point
+        assert [holds_a_list(record) for record in outers] == [
+            record.found is not None for record in outers], point
+        for record in inners + composites:
+            record.modulus(24)
+        assert all(map(holds_a_list, inners)), point
+        assert not any(map(holds_a_list, composites)), point
 
 
 def encode_value_calls(monkeypatch):
