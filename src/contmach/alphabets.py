@@ -8,8 +8,10 @@ appended to.  Equality of questions and answers is Python ``==``, the
 decidable equality the paper assumes of every alphabet.
 
 First-match lookup reads a hashed index from each question's key to its
-first answer, built once per table (and extended, not rebuilt, when a
-transcript grows), so a lookup costs one key whatever the table's length.
+first answer, built once per table on its first lookup (a table grown by
+``append_pairs`` builds its own), so a lookup costs one key whatever the
+table's length.  A resumed dialogue's one transcript (``_Transcript``) keeps
+such an index and grows it in place.
 The key (``_key``) of an int, a bool or a Fraction is built from its
 numerator and denominator, so no lookup pays ``Fraction.__hash__``, and two
 questions get equal keys exactly when they are ``==``.  Questions of any
@@ -152,8 +154,8 @@ class FiniteFunction:
     ``size`` counts list entries, not distinct questions; lookups return the
     answer of the first entry whose question matches.  They read a private
     index from each question's key (``_key``) to its first answer, built on
-    first use and extended by ``append_pairs``.  Equality, ``repr`` and
-    hashing are those of ``entries`` alone.
+    first use; a table grown by ``append_pairs`` builds its own the same
+    way.  Equality, ``repr`` and hashing are those of ``entries`` alone.
     """
 
     entries: tuple = ()
@@ -167,12 +169,7 @@ class FiniteFunction:
         return _first_answers(self.entries)
 
     def append_pairs(self, pairs: Sequence) -> "FiniteFunction":
-        pairs = tuple(pairs)
-        grown = FiniteFunction(self.entries + pairs)
-        # Seed the cached index from this one's: the copy keeps the stored
-        # hashes, so only the new pairs are keyed.
-        grown.__dict__["_index"] = _first_answers(pairs, self._index)
-        return grown
+        return FiniteFunction(self.entries + tuple(pairs))
 
 
 #: Tags the key of a non-integral rational, so no tuple question equals it.
@@ -214,13 +211,35 @@ def _other_key(question):
     return question
 
 
-def _first_answers(pairs: Sequence, first: dict | None = None) -> dict:
-    """Map each question's key in ``pairs`` to its first answer, on top of a
-    copy of ``first``; an earlier entry always wins."""
-    first = {} if first is None else first.copy()
+def _first_answers(pairs: Sequence) -> dict:
+    """Map each question's key in ``pairs`` to its first answer; an earlier
+    entry always wins."""
+    first = {}
     for question, answer in pairs:
         first.setdefault(_key(question), answer)
     return first
+
+
+class _Transcript:
+    """The transcript of one resumed dialogue, grown in place.
+
+    It has the two attributes the associate's walk reads from a
+    ``FiniteFunction``: ``_index``, each question's key (``_key``) mapped to
+    its first answer by the rule ``_first_answers`` keeps, and ``size``,
+    which counts entries, duplicates included.
+    """
+
+    __slots__ = ("_index", "size")
+
+    def __init__(self):
+        self._index, self.size = {}, 0
+
+    def bind(self, questions, phi: NameOracle) -> None:
+        """Append each question with ``phi``'s answer; the first answer wins."""
+        bind = self._index.setdefault
+        for asked in questions:
+            bind(_key(asked), phi(asked))
+        self.size += len(questions)
 
 
 def lookup(finite_fn: FiniteFunction, question):

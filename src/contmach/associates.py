@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .alphabets import (FiniteFunction, NameOracle, _key, encode_value,
-                        extend_with_default)
+from .alphabets import (FiniteFunction, NameOracle, _key, _Transcript,
+                        encode_value, extend_with_default)
 from .machines import (Evaluation, MonotoneMachine, _encoded, _Settled,
                        _SettlingMachine, _parts)
 
@@ -105,9 +105,9 @@ def machine_to_associate(machine_like, question_default, answer_default) -> Asso
     A dialogue of r rounds whose last consultation stops at effort E then
     walks r + E efforts in all, not up to r * E.  On that resumed path the
     walk's state is not a ``FiniteFunction`` but the dialogue's one
-    transcript, grown in place between consultations; the walk reads only
-    its ``_index`` and ``size``, and each consultation still pads it into a
-    fresh oracle.
+    transcript (``alphabets._Transcript``), grown in place between
+    consultations; the walk reads only its ``_index`` and ``size``, and each
+    consultation still pads it into a fresh oracle.
 
     The padded oracle and the check for unbound questions both read the
     transcript's first-match index, so each costs one key per question
@@ -172,27 +172,6 @@ class DialogueTranscript:
                         "payload": encode_value(r.payload)} for r in self.rounds],
             "answered": self.answered,
         }
-
-
-class _Transcript:
-    """The transcript of one resumed dialogue, grown in place.
-
-    It has the two attributes the walk reads from a ``FiniteFunction``:
-    ``_index``, each question's key (``_key``) mapped to its first answer,
-    and ``size``, which counts entries, duplicates included.
-    """
-
-    __slots__ = ("_index", "size")
-
-    def __init__(self):
-        self._index, self.size = {}, 0
-
-    def bind(self, questions, phi: NameOracle) -> None:
-        """Append each question with ``phi``'s answer; the first answer wins."""
-        bind = self._index.setdefault
-        for asked in questions:
-            bind(_key(asked), phi(asked))
-        self.size += len(questions)
 
 
 def dialogue_trace(associate: AssociateFn, phi: NameOracle, question,

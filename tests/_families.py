@@ -6,9 +6,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
-from contmach import (ContinuousMachine, MonotoneMachine, STAR, effort_schedule,
-                      encode_value, monotone_machine)
+from contmach import (ContinuousMachine, MonotoneMachine, STAR, compose_monotone,
+                      effort_schedule, encode_value, inversion_machine,
+                      monotone_machine, use_first)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +156,20 @@ def counting_machine(cm, calls):
         return cm.modulus(phi, effort, question)
 
     return ContinuousMachine(machine, modulus, cm.in_space, cm.out_space)
+
+
+def composite_chain(depth, calls=None):
+    """``depth`` use_first inversions, each composed over the one before with
+    fallback 0, as the CLI's pipelines nest them; given ``calls``, every raw
+    stage counts into it as ``counting_machine`` does."""
+    def stage():
+        cm = inversion_machine()
+        return use_first(cm if calls is None else counting_machine(cm, calls))
+
+    chain = stage()
+    for _ in range(depth - 1):
+        chain = compose_monotone(stage(), chain, Fraction(0))
+    return chain
 
 
 def per_round(associate):

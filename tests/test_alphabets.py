@@ -378,6 +378,8 @@ def test_index_helpers_agree_with_a_first_match_scan_on_every_kind_of_key():
 def test_appends_and_forks_match_tables_built_afresh():
     # Each step grows any earlier state, so one table is often grown twice;
     # a padded oracle taken early must not see the pairs appended later.
+    # Every state is looked up (padded) as soon as it is made, yet a grown
+    # table holds no index until its own first lookup builds one.
     rng = random.Random(22)
     drawn = KINDS + DYADIC[:3] + DYADIC[-3:]
     for _ in range(200):
@@ -386,8 +388,11 @@ def test_appends_and_forks_match_tables_built_afresh():
         for _ in range(rng.randrange(1, 12)):
             pairs = [(rng.choice(drawn), rng.choice((None, "x", "y")))
                      for _ in range(rng.randrange(3))]
-            states.append(rng.choice(states).append_pairs(pairs))
-            padded.append(extend_with_default(states[-1], "d"))
+            grown = rng.choice(states).append_pairs(pairs)
+            assert "_index" not in vars(grown)
+            states.append(grown)
+            padded.append(extend_with_default(grown, "d"))
+            assert "_index" in vars(grown)
         for state, oracle in zip(states, padded):
             afresh = FiniteFunction(state.entries)
             assert state == afresh and hash(state) == hash(afresh)

@@ -88,6 +88,18 @@ def test_scale_table_is_named_only_in_alphabets():
     assert [entry for entry in names if entry[1] == "_SCALES"] == []
 
 
+def test_first_answer_rule_is_written_only_in_alphabets():
+    # First-match tables keep each question's first answer with
+    # ``dict.setdefault``; ``alphabets`` owns every such table (``_index``,
+    # ``_Transcript``, the shared scales), so no other module names it.
+    users = []
+    for path in sorted((ROOT / "src" / "contmach").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        users += [path.name for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "setdefault"]
+    assert users and set(users) == {"alphabets.py"}
+
+
 def test_print_limit_is_read_only_in_alphabets():
     # The rule for a rational too long to print as p/q has one owner: every
     # other module asks ``alphabets`` (``_check_power_of_two``, ``parse_rational``).

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from _families import (all_small_oracles, assert_records_encode_their_lists,
-                       counting_machine, monotone_threshold, per_round,
-                       random_threshold_spec, threshold_machine, ThresholdSpec,
-                       traced_by_attempts)
+                       composite_chain, counting_machine, monotone_threshold,
+                       per_round, random_threshold_spec, threshold_machine,
+                       ThresholdSpec, traced_by_attempts)
 from contmach.associates import _questions
 from contmach import (Answer, ContinuousMachine, FiniteFunction, Query,
                       compose_monotone, constant_oracle, dialogue_machine,
@@ -427,15 +427,6 @@ def test_resumed_walk_matches_per_round_walk_through_dialogue_machines():
     assert answered == {False, True}
 
 
-def composite_chain(depth):
-    # ``depth`` use_first inversions, each composed over the one before.
-    chain = use_first(inversion_machine())
-    for _ in range(depth - 1):
-        chain = compose_monotone(use_first(inversion_machine()), chain,
-                                 Fraction(0))
-    return chain
-
-
 def zero_once():
     # A name that answers 0 the first time it is asked a question and 1
     # every later time.
@@ -495,8 +486,8 @@ def test_resumed_walk_matches_per_round_walk_on_composites():
 def test_resumed_dialogue_grows_its_transcript_without_copying(monkeypatch):
     # 4,096 rounds on 0 make one machine and two modulus calls per round
     # after the first, as 1,024 do above, and the resumed walk's transcript
-    # grows in place, never through append_pairs, whose copy of the index
-    # made such a dialogue quadratic in its rounds.
+    # grows in place, never through append_pairs, whose copy of the
+    # transcript made such a dialogue quadratic in its rounds.
     def refuse(state, pairs):
         raise AssertionError("a resumed dialogue copied its transcript")
 

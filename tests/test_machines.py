@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from _families import (all_small_oracles, assert_records_encode_their_lists,
-                       counting_machine, failure_example, last_element_modulus,
-                       monotone_threshold, random_threshold_spec, small_oracle,
-                       table_machine, threshold_machine, ThresholdSpec,
-                       traced_by_attempts, two_point_oracles)
+                       composite_chain, counting_machine, failure_example,
+                       last_element_modulus, monotone_threshold,
+                       random_threshold_spec, small_oracle, table_machine,
+                       threshold_machine, ThresholdSpec, traced_by_attempts,
+                       two_point_oracles)
 from contmach import (INVERSION_POINTS, OPT_NONE, SIGN_POINTS,
                       ContinuousMachine, MembershipResult, ModulusSearchError,
                       STAR, brute_force_min_modulus, compose_monotone,
@@ -864,20 +865,12 @@ def test_divergent_composite_trace_makes_only_the_settles_calls(depth, cap,
     # modulus is read off the outer records of the one settle: the trace
     # makes exactly evaluate's raw machine calls, and one raw modulus call
     # per raw machine call.
-    def chain(calls):
-        def stage():
-            return use_first(counting_machine(inversion_machine(), calls))
-
-        composite = stage()
-        for _ in range(depth - 1):
-            composite = compose_monotone(stage(), composite, Fraction(0))
-        return composite
-
     phi = exact_name(Fraction(0))
     evaluated, traced = [0, 0], [0, 0]
-    assert evaluate(chain(evaluated), phi, Fraction(1, 8), cap, "linear") is None
-    result, trace = evaluate_traced(chain(traced), phi, Fraction(1, 8), cap,
-                                    "linear")
+    assert evaluate(composite_chain(depth, evaluated), phi, Fraction(1, 8), cap,
+                    "linear") is None
+    result, trace = evaluate_traced(composite_chain(depth, traced), phi,
+                                    Fraction(1, 8), cap, "linear")
     assert result is None
     assert len(trace["attempts"]) == cap + 1
     assert evaluated[0] == traced[0] == traced[1] == expected

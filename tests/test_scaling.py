@@ -1,0 +1,50 @@
+"""Scaling pins: exact raw machine / modulus call counts of the costs that
+grow with composition depth and dialogue rounds.
+
+Each chain nests ``compose_monotone(use_first(inv), chain, 0)`` over raw
+``inversion_machine`` stages (``composite_chain``), and every raw stage counts
+into one shared pair of counters.  A change that moves one of these counts
+on purpose re-pins it here, and says so."""
+
+from fractions import Fraction
+
+import pytest
+
+from _families import composite_chain
+from contmach import (dialogue_trace, evaluate_traced, exact_name,
+                      machine_to_associate)
+
+MILLIONTH = Fraction(1, 10 ** 6)
+
+
+@pytest.mark.parametrize("schedule, cap, depth, expected", [
+    ("powers_of_two", 32, 3, [909, 845]),
+    ("powers_of_two", 32, 4, [7444, 7044]),
+    ("powers_of_two", 32, 5, [98377, 97977]),
+    ("linear", 20, 3, [3606, 3587]),
+    ("linear", 20, 4, [48567, 48149]),
+])
+def test_convergent_composite_trace_raw_calls(schedule, cap, depth, expected):
+    # The answer comes at the cap's effort; the trace's modulus lists make
+    # the counts grow ~8-16x per stage.
+    calls = [0, 0]
+    result, _ = evaluate_traced(composite_chain(depth, calls),
+                                exact_name(MILLIONTH), MILLIONTH, cap, schedule)
+    assert result is not None and result.effort == cap
+    assert calls == expected
+
+
+@pytest.mark.parametrize("depth, rounds, expected", [
+    (2, 16, [6786, 3112]),
+    (2, 32, [54530, 23376]),
+    (3, 16, [116762, 39984]),
+])
+def test_composite_associate_dialogue_raw_calls(depth, rounds, expected):
+    # On 0 nothing answers, so every round walks the composite's per-effort
+    # machine and modulus, each re-running every stage from effort 0.
+    calls = [0, 0]
+    zero = Fraction(0)
+    associate = machine_to_associate(composite_chain(depth, calls), zero, zero)
+    trace = dialogue_trace(associate, exact_name(zero), Fraction(1, 1024), rounds)
+    assert not trace.answered and len(trace.rounds) == rounds
+    assert calls == expected
