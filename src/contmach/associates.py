@@ -14,7 +14,7 @@ from typing import Callable, Union
 
 from .alphabets import (FiniteFunction, NameOracle, _key, _Transcript,
                         encode_value, extend_with_default)
-from .machines import (Evaluation, MonotoneMachine, _encoded, _Settled,
+from .machines import (Evaluation, MonotoneMachine, _FirstSettled,
                        _SettlingMachine, _parts)
 
 
@@ -44,10 +44,13 @@ def dialogue_machine(associate: AssociateFn) -> MonotoneMachine:
     Its ``settle(phi, cap)`` runs the dialogue once for cap + 1 rounds:
     the record's answer is the last round's, at effort len(rounds) - 1, and
     its modulus at n lists the questions of the first n rounds, or their
-    texts when it is given an encoder.  The record is a ``_Settled`` given a
-    function of the transcript, which makes each list when it is asked for.
-    Evaluating it therefore consults the associate once per round.  Each of
-    these runs is one ``dialogue_trace``, so the associates
+    texts when it is given an encoder.  That list is ``use_first``'s rule,
+    per-step lists concatenated up to the first answer, with round k - 1's
+    questions as the step at effort k (none at 0), so the record is a
+    ``machines._FirstSettled`` over the transcript's rounds: each round's
+    questions are listed once and each entry encoded once, whatever the
+    order of the asks.  Evaluating it consults the associate once per
+    round.  Each of these runs is one ``dialogue_trace``, so the associates
     ``machine_to_associate`` builds resume their walk from round to round
     within it.
     """
@@ -59,12 +62,12 @@ def dialogue_machine(associate: AssociateFn) -> MonotoneMachine:
         return _questions(dialogue_trace(associate, phi, question, effort).rounds)
 
     def settle(phi, cap):
-        def settled(question) -> _Settled:
+        def settled(question) -> _FirstSettled:
             transcript = dialogue_trace(associate, phi, question, cap + 1)
             found = (Evaluation(transcript.final_answer, len(transcript.rounds) - 1)
                      if transcript.answered else None)
-            return _Settled(found, lambda effort, encode=None: _encoded(
-                _questions(transcript.rounds[:effort]), encode))
+            return _FirstSettled(found, lambda rounds, effort, _: _questions(
+                rounds[effort - 1:effort]), transcript.rounds, question)
 
         return settled
 

@@ -79,6 +79,14 @@ class _SettlingMachine(MonotoneMachine):
     ``compose_monotone`` caches its inner stage's records, the only ones
     asked for again within one evaluation.
 
+    Each record class follows one list rule.  ``_FirstSettled`` concatenates
+    per-step lists up to the first answer: ``use_first``'s records, and
+    ``dialogue_machine``'s, whose step at effort k is round k - 1's
+    questions.  ``_ComposedSettled`` concatenates its inner records' lists
+    over an outer list.  ``_Settled``, the record of a machine without a
+    ``settle`` (``_scan_settle``), calls the machine's modulus at the
+    effort asked.
+
     ``_first_of`` is set on the machines ``use_first`` builds: the machine
     it monotonized, the innermost one when ``use_first`` is nested.
     ``machine_to_associate`` walks it instead, with identical consultations.
@@ -120,10 +128,11 @@ class _Settled(NamedTuple):
     ``encode(q)``.  A record may keep the texts it made, so it is given one
     encoder, the one of the trace that reads it.
 
-    This is the record whose ``modulus`` is a function given to it: a
-    scanned machine's, and ``dialogue_machine``'s.  ``use_first`` and
-    ``compose_monotone`` build objects of their own classes with the same
-    two names, ``_FirstSettled`` and ``_ComposedSettled``.
+    This is the record of a scanned machine only (``_scan_settle``), whose
+    ``modulus`` calls the machine's modulus at the effort asked.  Settling
+    machines build objects of their own classes with the same two names:
+    ``_FirstSettled`` for ``use_first`` and ``dialogue_machine``,
+    ``_ComposedSettled`` for ``compose_monotone``.
     """
 
     found: Optional[Evaluation]
@@ -222,15 +231,15 @@ def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
     attempt is silent, since the answer is the first along the schedule,
     and each attempt shows the modulus list at its effort.  Every list comes
     from the record of that one evaluation, rendered by the record through
-    this trace's one encoder: ``use_first``'s record computes each raw
-    modulus once and encodes each entry once, a composite's list is the
-    concatenation of its stages' records' texts, and a machine without a
-    ``settle`` has its modulus called and encoded at every attempt.  Values
-    and questions are rendered with ``encode_value``, each question object
-    once per trace: the encoder's memo is keyed by the object's identity,
-    and ``kept`` holds every encoded object, so no id is reused while the
-    trace is built, even where a modulus builds fresh questions on every
-    call.
+    this trace's one encoder: a ``_FirstSettled`` record (``use_first``'s,
+    ``dialogue_machine``'s) computes each step list once and encodes each
+    entry once, a composite's list is the concatenation of its stages'
+    records' texts, and a machine without a ``settle`` has its modulus
+    called and encoded at every attempt.  Values and questions are rendered
+    with ``encode_value``, each question object once per trace: the
+    encoder's memo is keyed by the object's identity, and ``kept`` holds
+    every encoded object, so no id is reused while the trace is built, even
+    where a modulus builds fresh questions on every call.
     """
     efforts = effort_schedule(fuel_cap, schedule)
     result, modulus = _evaluation(machine_like, phi, question, efforts)
@@ -297,13 +306,18 @@ def in_F_M(machine_like, phi: NameOracle, candidate: NameOracle,
 
 
 class _FirstSettled:
-    """``use_first``'s record of one question: ``found``, the first answer up
-    to the cap, and ``modulus(n, encode=None)``, the raw modulus lists at
-    efforts 0..min(n, f) concatenated, f the first answering effort (n where
-    there is none up to the cap).
+    """A monotone record of one question: ``found``, the first answer up to
+    the cap, and ``modulus(n, encode=None)``, the step lists
+    ``modulus(phi, k, question)`` at efforts k = 0..min(n, f) concatenated,
+    f the first answering effort (n where there is none up to the cap).
+
+    ``use_first``'s records take the raw modulus as the step.
+    ``dialogue_machine``'s take the transcript's rounds as ``phi`` and round
+    k - 1's questions as the step at k, none at 0, which concatenate to the
+    questions of the first min(n, f) rounds.
 
     The record holds only what it was settled from.  Its lists are made on
-    the first ask and extended as n grows, so each raw modulus is computed
+    the first ask and extended as n grows, so each step list is computed
     once and each entry encoded once, whatever the order of the asks.
     """
 
@@ -482,26 +496,27 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
             f"cannot compose: inner machine produces {inner.out_space!r} "
             f"but outer machine consumes {outer.in_space!r}")
 
-    def padded_by(answer):
-        # The intermediate oracle: ``answer``'s value, or the default where
-        # it gives None.
+    def padded_by(phi, effort):
+        # The inner machine's answers at ``effort``, cached, and the
+        # intermediate oracle over them: the answer, or the default where
+        # it is None.
+        answer = functools.cache(functools.partial(inner_machine, phi, effort))
+
         def padded(question):
             value = answer(question)
             return intermediate_default if value is None else value
 
-        return padded
+        return answer, padded
 
     def composite_machine(phi, effort, question):
-        answer = functools.cache(functools.partial(inner_machine, phi, effort))
-        padded = padded_by(answer)
+        answer, padded = padded_by(phi, effort)
         for needed in outer_modulus(padded, effort, question):
             if answer(needed) is None:
                 return None
         return outer_machine(padded, effort, question)
 
     def composite_modulus(phi, effort, question):
-        padded = padded_by(functools.cache(
-            functools.partial(inner_machine, phi, effort)))
+        padded = padded_by(phi, effort)[1]
         return [collected for needed in outer_modulus(padded, effort, question)
                 for collected in inner_modulus(phi, effort, needed)]
 
@@ -510,7 +525,7 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     def composite_settle(phi, cap):
         settle_one, records = settle_inner(phi, cap), {}
 
-        def inner_settled(question) -> _Settled:
+        def inner_settled(question):
             key = _key(question)
             record = records.get(key)
             if record is None:

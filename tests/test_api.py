@@ -70,21 +70,23 @@ def test_imports_are_stdlib_only():
     assert foreign == []
 
 
+def package_names():
+    """(module, name) for every name the package's modules use: each
+    Name's id, Attribute's attr, import alias's name and asname, and each
+    def's or class's name."""
+    for path in sorted((ROOT / "src" / "contmach").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            for field in ("id", "attr", "name", "asname"):
+                name = getattr(node, field, None)
+                if isinstance(name, str):
+                    yield path.name, name
+
+
 def test_scale_table_is_named_only_in_alphabets():
     # Every other module asks for 2^-n through ``alphabets._scale``, so the
     # table's lookup rule has one owner.
-    names = []
-    for path in sorted((ROOT / "src" / "contmach").glob("*.py")):
-        if path.name == "alphabets.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                names.append((path.name, node.id))
-            elif isinstance(node, ast.Attribute):
-                names.append((path.name, node.attr))
-            elif isinstance(node, ast.alias):
-                names += [(path.name, node.name), (path.name, node.asname)]
-    assert {"realizers.py", "spaces.py"} <= {name for name, _ in names}
+    names = [entry for entry in package_names() if entry[0] != "alphabets.py"]
+    assert {"realizers.py", "spaces.py"} <= {module for module, _ in names}
     assert [entry for entry in names if entry[1] == "_SCALES"] == []
 
 
@@ -92,22 +94,23 @@ def test_first_answer_rule_is_written_only_in_alphabets():
     # First-match tables keep each question's first answer with
     # ``dict.setdefault``; ``alphabets`` owns every such table (``_index``,
     # ``_Transcript``, the shared scales), so no other module names it.
-    users = []
-    for path in sorted((ROOT / "src" / "contmach").glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        users += [path.name for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "setdefault"]
+    users = [module for module, name in package_names() if name == "setdefault"]
     assert users and set(users) == {"alphabets.py"}
 
 
 def test_print_limit_is_read_only_in_alphabets():
     # The rule for a rational too long to print as p/q has one owner: every
     # other module asks ``alphabets`` (``_check_power_of_two``, ``parse_rational``).
-    readers = []
-    for path in sorted((ROOT / "src" / "contmach").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            # A Name's id, an Attribute's attr or an import alias's name.
-            if "get_int_max_str_digits" in {getattr(node, field, None)
-                                            for field in ("id", "attr", "name")}:
-                readers.append(path.name)
+    readers = [module for module, name in package_names()
+               if name == "get_int_max_str_digits"]
     assert readers and set(readers) == {"alphabets.py"}
+
+
+def test_scanned_record_is_named_only_in_machines():
+    # ``_Settled`` is the record of a machine without a settle of its own;
+    # every settling machine outside ``machines`` builds one of the record
+    # classes with a list rule of its own (``dialogue_machine`` a
+    # ``_FirstSettled``), so no other module names it or its encoder.
+    users = [module for module, name in package_names()
+             if name in ("_Settled", "_encoded")]
+    assert users and set(users) == {"machines.py"}

@@ -10,12 +10,12 @@ from _families import (all_small_oracles, assert_records_encode_their_lists,
                        ThresholdSpec, traced_by_attempts)
 from contmach.associates import _questions
 from contmach import (Answer, ContinuousMachine, FiniteFunction, Query,
-                      compose_monotone, constant_oracle, dialogue_machine,
-                      dialogue_trace, evaluate, evaluate_traced, exact_name,
-                      extend_with_default, grid_name, in_F_M,
-                      inversion_machine, lookup, machine_to_associate,
-                      monotone_machine, override_oracle, sign_machine,
-                      use_first)
+                      associates, compose_monotone, constant_oracle,
+                      dialogue_machine, dialogue_trace, evaluate,
+                      evaluate_traced, exact_name, extend_with_default,
+                      grid_name, in_F_M, inversion_machine, lookup,
+                      machine_to_associate, monotone_machine, override_oracle,
+                      sign_machine, use_first)
 
 
 def constant_answer_associate(value):
@@ -194,6 +194,31 @@ def test_round_trip_consults_once_per_round():
     result = evaluate(rebuilt, exact_name(Fraction(0)), Fraction(1, 8), 64)
     assert result is None
     assert calls == [65]
+
+
+def test_dialogue_trace_lists_each_round_once(monkeypatch):
+    # A trace reads the record's list at every effort; the record extends
+    # one list, so each round reaches ``_questions`` once: 256 rounds on 0
+    # at cap 256, where rebuilding the first n rounds' list at every effort
+    # n passed 32,896.
+    rounds = [0]
+
+    def counted(given):
+        rounds[0] += len(given)
+        return _questions(given)
+
+    monkeypatch.setattr(associates, "_questions", counted)
+    rebuilt = dialogue_machine(machine_to_associate(
+        use_first(inversion_machine()), 0, 0))
+    result, trace = evaluate_traced(rebuilt, exact_name(0), Fraction(1, 8),
+                                    256, "linear")
+    assert result is None and len(trace["attempts"]) == 257
+    assert rounds == [256]
+    result, trace = evaluate_traced(rebuilt, exact_name(Fraction(7, 5)),
+                                    Fraction(1, 8), 256, "linear")
+    assert result == (Fraction(5, 7), 2)
+    assert [a["modulus"] for a in trace["attempts"]] == [[], ["1/1"],
+                                                         ["1/1", "1/100"]]
 
 
 # ---------------------------------------------------------------------------
