@@ -119,15 +119,15 @@ def _write_json(value, pad: str, parts: list) -> None:
             try:
                 text = "".join(value)
             except TypeError:  # an item that is not a string
+                text = None
+            if text is not None and text.isascii() and (
+                    len(text.encode().translate(None, _ESCAPED)) == len(text)):
+                parts.append('"' + ('"' + separator + '"').join(value) + '"')
+            else:
                 for index, item in enumerate(value):
                     if index:
                         parts.append(separator)
                     _write_json(item, inner, parts)
-            else:
-                if text.isascii() and len(text.encode().translate(None, _ESCAPED)) == len(text):
-                    parts.append('"' + ('"' + separator + '"').join(value) + '"')
-                else:
-                    parts.append(separator.join(map(_encode_str, value)))
         parts.append("\n" + pad + brackets[1])
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

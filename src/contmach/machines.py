@@ -83,9 +83,10 @@ class _SettlingMachine(MonotoneMachine):
     per-step lists up to the first answer: ``use_first``'s records, and
     ``dialogue_machine``'s, whose step at effort k is round k - 1's
     questions.  ``_ComposedSettled`` concatenates its inner records' lists
-    over an outer list.  ``_Settled``, the record of a machine without a
-    ``settle`` (``_scan_settle``), calls the machine's modulus at the
-    effort asked.
+    over an outer list, and derives its first answer from its outer record
+    and the inner records of that list.  ``_Settled``, the record of a
+    machine without a ``settle`` (``_scan_settle``), calls the machine's
+    modulus at the effort asked.
 
     ``_first_of`` is set on the machines ``use_first`` builds: the machine
     it monotonized, the innermost one when ``use_first`` is nested.
@@ -415,10 +416,16 @@ def derive_modulus_machine(machine_like) -> ContinuousMachine:
 
 
 class _ComposedSettled:
-    """A composite's record of one question: ``found``, its first answer up
-    to the cap, and ``modulus(n, encode=None)``, the inner records' lists at
-    n, concatenated, for the questions on its outer record's list at n.
+    """A composite's record of one question, derived from ``outer``, the
+    outer stage's record of it on the limit oracle, and the inner records.
 
+    ``found``, its first answer up to the cap, is set on construction: the
+    outer answer at the latest of the outer settled effort f and the inner
+    settled efforts of the questions on ``outer.modulus(f)``, or None where
+    the outer record has no answer or one of those questions has none.  The
+    inner records are asked in list order, and none after the first
+    unanswered one.  ``modulus(n, encode=None)`` is the inner records' lists
+    at n, concatenated, for the questions on the outer record's list at n.
     Where one of those questions first answers above n, the outer stage is
     settled again, up to n on the padded answers at n, for the list to read.
     ``context`` is the evaluation's ``(inner_settled, settle_outer,
@@ -427,9 +434,16 @@ class _ComposedSettled:
 
     __slots__ = ("found", "_outer", "_question", "_context")
 
-    def __init__(self, found, outer, question, context):
-        self.found, self._outer, self._question, self._context = (
-            found, outer, question, context)
+    def __init__(self, outer, question, context):
+        self._outer, self._question, self._context = outer, question, context
+        self.found = found = outer.found
+        for needed in () if found is None else outer.modulus(found.effort):
+            needed_found = context[0](needed).found
+            if needed_found is None:
+                self.found = None
+                break
+            if needed_found.effort > self.found.effort:
+                self.found = Evaluation(found.value, needed_found.effort)
 
     def modulus(self, effort, encode=None):
         inner_settled, settle_outer, padded_at = self._context
@@ -485,9 +499,11 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     without a ``settle`` of its own is scanned along efforts 0..cap, its
     modulus called at the effort asked.  The record's texts at n are the
     concatenation of the texts of the same inner records.  The record is a
-    ``_ComposedSettled`` object holding its outer record, its question and
-    the evaluation's context; it keeps no list, and builds one per ask, one
-    inner record's list after another.
+    ``_ComposedSettled`` object built from its outer record, its question
+    and the evaluation's context; it derives its first answer by the rule
+    above from the outer record and the inner records when it is built,
+    after the outer settle returns, keeps no list, and builds one per ask,
+    one inner record's list after another.
     """
     inner_machine, inner_modulus = _parts(inner, "compose_monotone")
     outer_machine, outer_modulus = _parts(outer, "compose_monotone")
@@ -549,24 +565,10 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
             return padded
 
         outer_settled = settle_outer(padded_at(cap), cap)
-
-        def first(record) -> Optional[Evaluation]:
-            found = record.found
-            if found is None:
-                return None
-            effort = found.effort
-            for needed in record.modulus(found.effort):
-                needed_found = inner_settled(needed).found
-                if needed_found is None:
-                    return None
-                effort = max(effort, needed_found.effort)
-            return Evaluation(found.value, effort)
-
         context = (inner_settled, settle_outer, padded_at)
 
         def settled(question) -> _ComposedSettled:
-            record = outer_settled(question)
-            return _ComposedSettled(first(record), record, question, context)
+            return _ComposedSettled(outer_settled(question), question, context)
 
         return settled
 

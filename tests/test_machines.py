@@ -438,6 +438,31 @@ def test_modulus_soundness_and_self_modulation_exhaustive():
                             assert cm.modulus(psi, effort, question) == needed
 
 
+def test_composite_answers_at_the_later_stage_threshold():
+    # Spread 1 fixes each stage's threshold, so the composition rule is
+    # known: the composite first answers at the later of the two, with the
+    # outer value on the inner answers, and never where a question on the
+    # outer list (0, then 0 and 1) is one the inner stage never answers,
+    # which dead_stride makes question 0 wherever phi(2) is 0.
+    for t_outer, t_inner in ((0, 0), (1, 4), (4, 1), (3, 3)):
+        outer = ThresholdSpec(0, 1, base=t_outer, spread=1, salt=1)
+        inner = ThresholdSpec(2, 0, base=t_inner, spread=1, salt=2,
+                              dead_stride=4)
+        composite = compose_monotone(use_first(threshold_machine(outer)),
+                                     use_first(threshold_machine(inner)), 0)
+        settled = max(t_outer, t_inner)
+        for phi in all_small_oracles():
+            for question in range(3):
+                result = evaluate(composite, phi, question, 6, "linear")
+                if phi(2) == 0:
+                    assert result is None
+                    continue
+                watched = (phi(0) + 2 * 1) % 3  # the inner answer to 1
+                assert result == ((watched + question) % 3, settled)
+                assert evaluate(composite, phi, question, settled - 1,
+                                "linear") is None
+
+
 # ---------------------------------------------------------------------------
 # Settling: evaluate's one-pass path for use_first and compose_monotone
 
@@ -558,15 +583,17 @@ def test_settle_raw_call_counts():
                       Fraction(1, 2 ** 30), 2 ** 20, "powers_of_two")
     assert result is not None
     assert calls[0] < 1000
-    # Exact counts: an intermediate question settled twice would raise them,
-    # and so would a composite's first answer scanning the outer stage again
-    # instead of reading the modulus off its record.
-    for depth, expected in ((2, 43), (3, 127), (4, 171)):
+    # Exact raw machine and modulus calls: an intermediate question settled
+    # twice would raise them, and so would a composite's first answer
+    # scanning the outer stage again instead of reading the modulus off its
+    # record.
+    for depth, expected in ((1, [21, 0]), (2, [43, 1]), (3, [127, 43]),
+                            (4, [171, 66]), (5, [299, 152]), (6, [365, 197])):
         calls = [0, 0]
         assert evaluate(composite_chain(depth, calls),
                         exact_name(Fraction(1, 10 ** 6)), Fraction(1, 2 ** 30),
                         2 ** 20, "powers_of_two") is not None
-        assert calls[0] == expected, depth
+        assert calls == expected, depth
 
 
 # ---------------------------------------------------------------------------
