@@ -13,7 +13,7 @@ from .alphabets import (OPT_NONE, STAR, Alphabet, FiniteFunction, NameOracle,
                         extend_with_default, format_rational, lookup,
                         naturals_alphabet, one_point_alphabet, opt_alphabet,
                         override_oracle, pair_alphabet, parse_rational,
-                        rationals_alphabet, restriction_eq, table_oracle)
+                        rationals_alphabet, restriction_eq)
 from .associates import (Answer, AssociateFn, DialogueRound,
                          DialogueTranscript, Query, dialogue_machine,
                          dialogue_trace, machine_to_associate)

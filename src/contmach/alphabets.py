@@ -8,10 +8,13 @@ appended to.  Equality of questions and answers is Python ``==``, the
 decidable equality the paper assumes of every alphabet.
 
 First-match lookup reads a hashed index from each question's key to its
-first answer, built once per table on its first lookup (a table grown by
+first answer.  ``FiniteFunction._index`` is the one place that builds such an
+index from pairs, once per table on its first lookup (a table grown by
 ``append_pairs`` builds its own), so a lookup costs one key whatever the
-table's length.  A resumed dialogue's one transcript (``_Transcript``) keeps
-such an index and grows it in place.
+table's length.  A table oracle, a finite table answering everything else
+with a default, is ``extend_with_default`` over a ``FiniteFunction``.  A
+resumed dialogue's one transcript (``_Transcript``) keeps such an index and
+grows it in place.
 The key (``_key``) of an int, a bool or a Fraction is built from its
 numerator and denominator, so no lookup pays ``Fraction.__hash__``, and two
 questions get equal keys exactly when they are ``==``.  Questions of any
@@ -155,7 +158,10 @@ class FiniteFunction:
     answer of the first entry whose question matches.  They read a private
     index from each question's key (``_key``) to its first answer, built on
     first use; a table grown by ``append_pairs`` builds its own the same
-    way.  Equality, ``repr`` and hashing are those of ``entries`` alone.
+    way.  ``_index`` is the package's one builder of a first-answer index
+    from pairs, and ``extend_with_default`` over a ``FiniteFunction`` is
+    its table oracle.  Equality, ``repr`` and hashing are those of
+    ``entries`` alone.
     """
 
     entries: tuple = ()
@@ -166,7 +172,10 @@ class FiniteFunction:
 
     @cached_property
     def _index(self) -> dict:
-        return _first_answers(self.entries)
+        first = {}
+        for question, answer in self.entries:
+            first.setdefault(_key(question), answer)
+        return first
 
     def append_pairs(self, pairs: Sequence) -> "FiniteFunction":
         return FiniteFunction(self.entries + tuple(pairs))
@@ -211,22 +220,15 @@ def _other_key(question):
     return question
 
 
-def _first_answers(pairs: Sequence) -> dict:
-    """Map each question's key in ``pairs`` to its first answer; an earlier
-    entry always wins."""
-    first = {}
-    for question, answer in pairs:
-        first.setdefault(_key(question), answer)
-    return first
-
-
 class _Transcript:
     """The transcript of one resumed dialogue, grown in place.
 
     It has the two attributes the associate's walk reads from a
     ``FiniteFunction``: ``_index``, each question's key (``_key``) mapped to
-    its first answer by the rule ``_first_answers`` keeps, and ``size``,
-    which counts entries, duplicates included.
+    its first answer by the rule ``FiniteFunction._index`` keeps (an earlier
+    entry always wins), and ``size``, which counts entries, duplicates
+    included.  ``bind`` inserts into the index in place rather than through
+    ``FiniteFunction``, so a round costs no rebuild.
     """
 
     __slots__ = ("_index", "size")
@@ -266,11 +268,6 @@ def constant_oracle(value) -> NameOracle:
     return lambda question: value
 
 
-def table_oracle(table: Sequence, fallback) -> NameOracle:
-    """Total oracle backed by a first-match table with a constant fallback."""
-    return override_oracle(lambda question: fallback, table)
-
-
 #: What the index gives for a question it does not bind.
 _UNBOUND = object()
 
@@ -278,12 +275,13 @@ _UNBOUND = object()
 def override_oracle(base: NameOracle, table: Sequence) -> NameOracle:
     """Splice finitely many answers over a base oracle; the first match wins.
 
-    The table's first-match index is built once, when the oracle is made,
-    by the index construction that every lookup helper above shares, so a
-    query costs one key of the question (``_key``); a bound None answer
-    still wins over the base.
+    The table's first-match index is ``FiniteFunction._index`` of its
+    pairs, built once, when the oracle is made, so a query costs one key of
+    the question (``_key``); a bound None answer still wins over the base.
+    With a constant base this is ``extend_with_default`` over that
+    ``FiniteFunction``.
     """
-    first = _first_answers(table)
+    first = FiniteFunction(tuple(table))._index
 
     def oracle(question):
         answer = first.get(_key(question), _UNBOUND)

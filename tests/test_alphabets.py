@@ -13,7 +13,7 @@ from contmach import (FiniteFunction, Kleenean, OPT_NONE, STAR,
                       extend_with_default, format_rational, lookup,
                       naturals_alphabet, one_point_alphabet, opt_alphabet,
                       override_oracle, pair_alphabet, parse_rational,
-                      rationals_alphabet, restriction_eq, table_oracle)
+                      rationals_alphabet, restriction_eq)
 
 
 def scan_lookup(ff, question):
@@ -99,7 +99,6 @@ def test_index_matches_scan_on_mixed_types_duplicates_and_none():
             for ff in chains(entries):
                 assert ff.entries == entries
                 padded = extend_with_default(ff, "d")
-                tabled = table_oracle(entries, "d")
                 spliced = override_oracle(lambda question: ("base", question),
                                           entries)
                 for question in MIXED_PROBES:
@@ -107,7 +106,6 @@ def test_index_matches_scan_on_mixed_types_duplicates_and_none():
                     bound = scan_bound(ff, question)
                     assert lookup(ff, question) == want, (entries, question)
                     assert padded(question) == (want if bound else "d")
-                    assert tabled(question) == (want if bound else "d")
                     assert spliced(question) == (
                         want if bound else ("base", question))
 
@@ -129,9 +127,9 @@ def test_finite_function_identity_ignores_how_it_was_built():
 
 
 def test_restriction_eq_reflexive_and_empty():
-    phi = table_oracle([(0, "a")], "z")
+    phi = extend_with_default(FiniteFunction(((0, "a"),)), "z")
     assert restriction_eq(phi, phi, [0, 1, 2])
-    psi = table_oracle([(0, "b")], "z")
+    psi = extend_with_default(FiniteFunction(((0, "b"),)), "z")
     assert restriction_eq(phi, psi, [])
 
 

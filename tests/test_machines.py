@@ -643,6 +643,26 @@ def test_evaluate_traced_matches_attempt_loop_on_chains(depth, points, schedule)
                                     (-1, 0, 5, 16), schedule)
 
 
+@pytest.mark.parametrize("schedule", ["linear", "powers_of_two"])
+def test_composite_settles_a_listed_question_the_outer_stage_never_reads(
+        schedule):
+    # The outer stage is oblivious and self-modulating: it answers "a" from
+    # effort 1 and lists 1/3 without ever reading it, so the composite's
+    # record settles 1/3 on the inner stage although the padded oracle was
+    # never asked it.  On 7/5 the inner stage answers 1/3 at effort 0; on 0
+    # it never does, so the composite never answers.
+    outer = use_first(ContinuousMachine(
+        lambda phi, n, q: "a" if n >= 1 else None,
+        lambda phi, n, q: [Fraction(1, 3)]))
+    composite = compose_monotone(outer, use_first(inversion_machine()),
+                                 Fraction(0))
+    assert_traced_like_attempt_loop(composite, (Fraction(7, 5), Fraction(0)),
+                                    (8,), schedule)
+    for point, expected in ((Fraction(7, 5), ("a", 1)), (Fraction(0), None)):
+        assert evaluate(composite, exact_name(point), Fraction(1, 8), 8,
+                        schedule) == expected, point
+
+
 def fresh_questions_modulus(phi, effort, question):
     # New Fraction objects on every call, with values that change with the
     # effort: once a list is dropped, the next call's objects may take the

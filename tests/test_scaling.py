@@ -23,6 +23,10 @@ MILLIONTH = Fraction(1, 10 ** 6)
     ("powers_of_two", 32, 5, [98377, 97977]),
     ("linear", 20, 3, [3606, 3587]),
     ("linear", 20, 4, [48567, 48149]),
+    ("powers_of_two", 32, 1, [21, 21]),
+    ("powers_of_two", 32, 2, [416, 352]),
+    ("linear", 20, 1, [21, 21]),
+    ("linear", 20, 2, [652, 633]),
 ])
 def test_convergent_composite_trace_raw_calls(schedule, cap, depth, expected):
     # The answer comes at the cap's effort; the trace's modulus lists make
@@ -34,17 +38,31 @@ def test_convergent_composite_trace_raw_calls(schedule, cap, depth, expected):
     assert calls == expected
 
 
-@pytest.mark.parametrize("depth, rounds, expected", [
-    (2, 16, [6786, 3112]),
-    (2, 32, [54530, 23376]),
-    (3, 16, [116762, 39984]),
-])
-def test_composite_associate_dialogue_raw_calls(depth, rounds, expected):
+DIALOGUE_ROWS = [
+    (2, Fraction(0), 16, None, [6786, 3112]),
+    (2, Fraction(0), 32, None, [54530, 23376]),
+    (3, Fraction(0), 16, None, [116762, 39984]),
+    (2, Fraction(0), 64, None, [436738, 180896]),
+    (3, Fraction(1, 2 ** 20), 32, 26, [519615, 172680]),
+]
+
+
+# Each row is named by its depth, its rounds and its place in the list, so
+# rows added at the end leave the names of the others as they were.
+@pytest.mark.parametrize(
+    "depth, point, rounds, answered_in, expected", DIALOGUE_ROWS,
+    ids=[f"{row[0]}-{row[2]}-expected{i}" for i, row in enumerate(DIALOGUE_ROWS)])
+def test_composite_associate_dialogue_raw_calls(depth, point, rounds,
+                                                answered_in, expected):
     # On 0 nothing answers, so every round walks the composite's per-effort
-    # machine and modulus, each re-running every stage from effort 0.
+    # machine and modulus, each re-running every stage from effort 0.  On
+    # 2^-20 the same walk runs until the dialogue answers, in round
+    # ``answered_in``.
     calls = [0, 0]
     zero = Fraction(0)
     associate = machine_to_associate(composite_chain(depth, calls), zero, zero)
-    trace = dialogue_trace(associate, exact_name(zero), Fraction(1, 1024), rounds)
-    assert not trace.answered and len(trace.rounds) == rounds
+    trace = dialogue_trace(associate, exact_name(point), Fraction(1, 1024),
+                           rounds)
+    assert trace.answered == (answered_in is not None)
+    assert len(trace.rounds) == (rounds if answered_in is None else answered_in)
     assert calls == expected

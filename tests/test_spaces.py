@@ -1,14 +1,15 @@
 import itertools
 from fractions import Fraction
 
-from contmach import (Kleenean, OPT_NONE, STAR, booleans_alphabet,
-                      booleans_space, bool_to_kleenean_realizer,
-                      compose_monotone, constant_oracle, discrete_space,
-                      embed_name, evaluate, exact_name, kleenean_from_bool,
+from contmach import (FiniteFunction, Kleenean, OPT_NONE, STAR,
+                      booleans_alphabet, booleans_space,
+                      bool_to_kleenean_realizer, compose_monotone,
+                      constant_oracle, discrete_space, embed_name, evaluate,
+                      exact_name, extend_with_default, kleenean_from_bool,
                       kleenean_to_bool_machine, kleeneans,
                       monotonize_kleenean_name, override_oracle,
                       precompletion, rational_reals, search_translate,
-                      sign_kleenean, table_oracle, use_first)
+                      sign_kleenean, use_first)
 from contmach.spaces import (KLEENEAN_PREFIX, PRECOMPLETION_SEARCH_BOUND,
                              RATIONAL_NAME_SCALES)
 
@@ -198,7 +199,7 @@ def test_backward_forward_after_monotonization():
 
 def test_embed_then_search_is_identity_at_effort_zero():
     machine = search_translate()
-    phi = table_oracle([(0, "a"), (1, "b")], "z")
+    phi = extend_with_default(FiniteFunction(((0, "a"), (1, "b"))), "z")
     embedded = embed_name(phi)
     for question in (0, 1, 5):
         assert machine.machine(embedded, 0, question) == phi(question)
