@@ -1,5 +1,6 @@
-"""Reproducible machine families, and the per-effort trace reference, shared
-across the test modules."""
+"""Reproducible machine families, the per-effort trace reference, and the
+suite's one call counter and one question log, shared across the test
+modules."""
 
 from __future__ import annotations
 
@@ -145,17 +146,27 @@ def two_point_oracles():
     return [small_oracle(t) for t in itertools.product((0, 1), repeat=2)]
 
 
+def counted(fn, calls, slot=0):
+    """``fn``, adding one to ``calls[slot]`` on each call."""
+    def call(*args):
+        calls[slot] += 1
+        return fn(*args)
+    return call
+
+
+def logged(phi, asked):
+    """The oracle ``phi``, appending each question put to it to ``asked``."""
+    def oracle(question):
+        asked.append(question)
+        return phi(question)
+    return oracle
+
+
 def counting_machine(cm, calls):
     # calls[0] counts raw machine calls, calls[1] raw modulus calls.
-    def machine(phi, effort, question):
-        calls[0] += 1
-        return cm.machine(phi, effort, question)
-
-    def modulus(phi, effort, question):
-        calls[1] += 1
-        return cm.modulus(phi, effort, question)
-
-    return ContinuousMachine(machine, modulus, cm.in_space, cm.out_space)
+    return ContinuousMachine(counted(cm.machine, calls, 0),
+                             counted(cm.modulus, calls, 1),
+                             cm.in_space, cm.out_space)
 
 
 def composite_chain(depth, calls=None):

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from _families import (all_small_oracles, assert_records_encode_their_lists,
-                       composite_chain, counting_machine, monotone_threshold,
-                       per_round, random_threshold_spec, threshold_machine,
-                       ThresholdSpec, traced_by_attempts)
+                       composite_chain, counted, counting_machine,
+                       monotone_threshold, per_round, random_threshold_spec,
+                       threshold_machine, ThresholdSpec, traced_by_attempts)
 from contmach.associates import _questions
 from contmach import (Answer, ContinuousMachine, FiniteFunction, Query,
                       associates, compose_monotone, constant_oracle,
@@ -103,13 +103,6 @@ def replayed_dialogue(associate):
     return machine, modulus
 
 
-def counting_calls(fn, calls):
-    def counted(*args):
-        calls[0] += 1
-        return fn(*args)
-    return counted
-
-
 def dialogue_fns(associate):
     cm = dialogue_machine(associate)
     return cm.machine, cm.modulus
@@ -118,8 +111,8 @@ def dialogue_fns(associate):
 def run_counted(make_fns, associate, phi, effort, question):
     # (machine value, modulus list), associate consultations, oracle queries.
     consulted, queried = [0], [0]
-    fns = make_fns(counting_calls(associate, consulted))
-    values = [fn(counting_calls(phi, queried), effort, question) for fn in fns]
+    fns = make_fns(counted(associate, consulted))
+    values = [fn(counted(phi, queried), effort, question) for fn in fns]
     return values, consulted[0], queried[0]
 
 
@@ -150,8 +143,8 @@ def test_dialogue_machine_matches_replayed_dialogue():
 def counted_run(run, associate, phi):
     # run(dialogue machine, oracle), associate consultations, oracle queries.
     consulted, queried = [0], [0]
-    cm = dialogue_machine(counting_calls(associate, consulted))
-    return run(cm, counting_calls(phi, queried)), consulted[0], queried[0]
+    cm = dialogue_machine(counted(associate, consulted))
+    return run(cm, counted(phi, queried)), consulted[0], queried[0]
 
 
 @pytest.mark.parametrize("schedule", ["linear", "powers_of_two"])
@@ -190,7 +183,7 @@ def test_round_trip_consults_once_per_round():
     calls = [0]
     associate = machine_to_associate(use_first(inversion_machine()),
                                      Fraction(0), Fraction(0))
-    rebuilt = dialogue_machine(counting_calls(associate, calls))
+    rebuilt = dialogue_machine(counted(associate, calls))
     result = evaluate(rebuilt, exact_name(Fraction(0)), Fraction(1, 8), 64)
     assert result is None
     assert calls == [65]
@@ -283,6 +276,22 @@ def test_associate_stalls_with_default_question_when_covered_but_silent():
     assert associate(FiniteFunction(), "q") == Query(("qd",))
     grown = FiniteFunction((("qd", 0), ("qd", 0)))
     assert associate(grown, "q") == Query(("qd",))
+
+
+def test_a_stalled_walk_resumes_past_the_efforts_it_read():
+    # A silent machine that lists nothing walks every effort the transcript
+    # covers, then stalls and asks the question default.  Resumed, each round
+    # reads only the one effort its transcript newly covers; consulted per
+    # round, round r walks efforts 0..r-1.  Resuming at the last effort read,
+    # not after it, would give the same transcript in [15, 15] calls.
+    for consult, want in ((lambda a: a, [8, 8]), (per_round, [36, 36])):
+        calls = [0, 0]
+        silent = counting_machine(ContinuousMachine(
+            lambda phi, n, q: None, lambda phi, n, q: []), calls)
+        associate = machine_to_associate(silent, 0, 0)
+        trace = dialogue_trace(consult(associate), constant_oracle(0), "q", 8)
+        assert not trace.answered and _questions(trace.rounds) == [0] * 8
+        assert calls == want
 
 
 def test_associate_query_preserves_modulus_order():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from _families import counted
 import contmach.cli
 from contmach import machine_to_associate, parse_rational, use_first
 from contmach.cli import _json_indent2, build_parser, main
@@ -495,6 +496,19 @@ def test_json_writer_matches_json_dumps_on_random_documents():
 ])
 def test_json_writer_matches_json_dumps_on_edge_cases(doc):
     assert _json_indent2(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_joins_a_plain_string_list_at_once(monkeypatch):
+    # A list of strings that need no escape is written with one join, so
+    # only the dict's key reaches the string encoder; a list with a quote
+    # encodes each item.  Encoding item by item would make 1,001 here.
+    calls = [0]
+    monkeypatch.setattr(contmach.cli, "_encode_str",
+                        counted(contmach.cli._encode_str, calls))
+    _json_indent2({"modulus": ["1/2"] * 1000})
+    assert calls == [1]
+    _json_indent2({"m": ['a"b'] * 3})
+    assert calls == [1 + 4]
 
 
 @pytest.mark.parametrize("doc", [

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from _families import (all_small_oracles, assert_records_encode_their_lists,
-                       composite_chain, counting_machine, failure_example,
-                       last_element_modulus, monotone_threshold,
-                       random_threshold_spec, small_oracle, table_machine,
-                       threshold_machine, ThresholdSpec, traced_by_attempts,
-                       two_point_oracles)
+                       composite_chain, counted, counting_machine,
+                       failure_example, last_element_modulus,
+                       monotone_threshold, random_threshold_spec, small_oracle,
+                       table_machine, threshold_machine, ThresholdSpec,
+                       traced_by_attempts, two_point_oracles)
 from contmach import (INVERSION_POINTS, OPT_NONE, SIGN_POINTS,
                       ContinuousMachine, MembershipResult, ModulusSearchError,
                       STAR, brute_force_min_modulus, compose_monotone,
@@ -803,13 +803,24 @@ def test_an_untraced_evaluate_makes_no_modulus_list():
 
 def encode_value_calls(monkeypatch):
     calls = [0]
-
-    def counted(value):
-        calls[0] += 1
-        return encode_value(value)
-
-    monkeypatch.setattr("contmach.machines.encode_value", counted)
+    monkeypatch.setattr("contmach.machines.encode_value",
+                        counted(encode_value, calls))
     return calls
+
+
+@pytest.mark.parametrize("depth, encodings", [(1, 17), (2, 289)])
+def test_a_record_encodes_each_entry_once_in_either_order(depth, encodings):
+    # A record extends its texts as n grows, so asking it every effort up to
+    # 16 on 0, rising or falling, encodes each entry of its longest list
+    # once; encoding the whole list on each ask would make 153 and 1,785.
+    mm = composite_chain(depth)
+    for efforts in (range(17), range(16, -1, -1)):
+        calls = [0]
+        encode = counted(repr, calls)
+        record = mm.settle(exact_name(0), 16)(Fraction(1, 8))
+        for n in efforts:
+            record.modulus(n, encode)
+        assert calls == [encodings], efforts
 
 
 def test_untraced_evaluate_encodes_nothing(monkeypatch):

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from _families import per_round
+from _families import logged, per_round
 from contmach import associates
 from contmach.alphabets import _scale
 from contmach import (FiniteMultifunction, INVERSION_POINTS, OPT_NONE,
@@ -414,17 +414,6 @@ def test_query_slot_never_returns_a_stale_point():
                 (kind, effort, accuracy)
 
 
-def counting(name):
-    # ``name`` and the list of questions put to it.
-    asked = []
-
-    def counted(question):
-        asked.append(question)
-        return name(question)
-
-    return counted, asked
-
-
 def test_associate_walk_asks_each_scale_once_per_effort(monkeypatch):
     # At each effort the walk asks the modulus and then the machine on one
     # padded name; the machine reuses the modulus's scale query.  Consulted
@@ -433,9 +422,8 @@ def test_associate_walk_asks_each_scale_once_per_effort(monkeypatch):
     pad, padded_names = associates.extend_with_default, []
 
     def extend(state, default):
-        padded, asked = counting(pad(state, default))
-        padded_names.append(asked)
-        return padded
+        padded_names.append([])
+        return logged(pad(state, default), padded_names[-1])
 
     monkeypatch.setattr(associates, "extend_with_default", extend)
     effort_of = {id(_scale(n)): n for n in range(64)}
@@ -459,8 +447,8 @@ def test_associate_walk_asks_each_scale_once_per_effort(monkeypatch):
 
 
 def reference_queries(name, effort, accuracy):
-    counted, asked = counting(name)
-    reference_inversion(counted, effort, accuracy)
+    asked = []
+    reference_inversion(logged(name, asked), effort, accuracy)
     return len(asked)
 
 
@@ -469,18 +457,21 @@ def test_machine_only_scans_query_as_the_reference_does():
     # machine asks the name once per query, as without the slot.
     accuracy = Fraction(1, 8)
     for x in (Fraction(0), Fraction(7, 5), Fraction(1, 10 ** 6)):
-        name, asked = counting(exact_name(x))
+        asked = []
+        name = logged(exact_name(x), asked)
         cm = inversion_machine()
         for effort in list(range(40)) * 2:
             cm.machine(name, effort, accuracy)
         assert len(asked) == 2 * sum(reference_queries(exact_name(x), effort, accuracy)
                                      for effort in range(40))
     # A settled evaluation on 0 runs the machine once per effort.
-    name, asked = counting(exact_name(0))
+    asked = []
+    name = logged(exact_name(0), asked)
     assert evaluate(use_first(inversion_machine()), name, accuracy, 256) is None
     assert len(asked) == 257
     # A trace reads the modulus after the machine at each effort.
-    name, asked = counting(exact_name(Fraction(1, 10 ** 6)))
+    asked = []
+    name = logged(exact_name(Fraction(1, 10 ** 6)), asked)
     evaluate_traced(use_first(inversion_machine()), name, accuracy, 32)
     assert len(asked) == 2 * 21 + 1
 

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+from _families import counted, logged
 from contmach import (FiniteFunction, Kleenean, OPT_NONE, STAR,
                       booleans_alphabet, booleans_space,
                       bool_to_kleenean_realizer, compose_monotone,
@@ -95,13 +96,6 @@ def reference_kleenean_is_name(phi, point):
     return point is Kleenean.BOTTOM
 
 
-def recorded(phi, asked):
-    def oracle(question):
-        asked.append(question)
-        return phi(question)
-    return oracle
-
-
 def test_kleenean_name_check_matches_hand_written_loop():
     edge = [OPT_NONE] * (KLEENEAN_PREFIX - 1)
     prefixes = list(kleenean_prefixes()) + [edge + [True], edge + [OPT_NONE, False]]
@@ -111,8 +105,8 @@ def test_kleenean_name_check_matches_hand_written_loop():
         name = kleenean_name(prefix)
         for point in Kleenean:
             got_asked, want_asked = [], []
-            got = space.is_name(recorded(name, got_asked), point)
-            want = reference_kleenean_is_name(recorded(name, want_asked), point)
+            got = space.is_name(logged(name, got_asked), point)
+            want = reference_kleenean_is_name(logged(name, want_asked), point)
             assert got == want, (prefix, point)
             assert got_asked == want_asked
 
@@ -283,13 +277,6 @@ def scan_search(key):
         return consulted
 
     return machine, modulus
-
-
-def counted(phi, calls):
-    def oracle(question):
-        calls[0] += 1
-        return phi(question)
-    return oracle
 
 
 def kleenean_prefixes(max_length=4):
