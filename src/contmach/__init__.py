@@ -29,9 +29,8 @@ from .realizers import (INVERSION_POINTS, SIGN_POINTS, CorpusSample,
                         sign_machine, standard_corpus, tightens)
 from .spaces import (KLEENEAN_PREFIX, PRECOMPLETION_SEARCH_BOUND,
                      RATIONAL_NAME_SCALES, Kleenean, RepresentedSpace,
-                     bool_to_kleenean_realizer, booleans_space,
-                     discrete_space, embed_name, kleenean_from_bool,
-                     kleenean_to_bool_machine, kleeneans,
+                     bool_to_kleenean_realizer, discrete_space, embed_name,
+                     kleenean_from_bool, kleenean_to_bool_machine, kleeneans,
                      monotonize_kleenean_name, precompletion, rational_reals,
                      search_translate, sign_kleenean)
 

@@ -9,12 +9,11 @@ decidable equality the paper assumes of every alphabet.
 
 First-match lookup reads a hashed index from each question's key to its
 first answer.  ``FiniteFunction._index`` is the one place that builds such an
-index from pairs, once per table on its first lookup (a table grown by
-``append_pairs`` builds its own), so a lookup costs one key whatever the
-table's length.  A table oracle, a finite table answering everything else
-with a default, is ``extend_with_default`` over a ``FiniteFunction``.  A
-resumed dialogue's one transcript (``_Transcript``) keeps such an index and
-grows it in place.
+index from pairs, once per table on its first lookup, so a lookup costs one
+key whatever the table's length.  A table oracle, a finite table answering
+everything else with a default, is ``extend_with_default`` over a
+``FiniteFunction``.  A resumed dialogue's one transcript (``_Transcript``)
+keeps such an index and grows it in place.
 The key (``_key``) of an int, a bool or a Fraction is built from its
 numerator and denominator, so no lookup pays ``Fraction.__hash__``, and two
 questions get equal keys exactly when they are ``==``.  Questions of any
@@ -157,10 +156,9 @@ class FiniteFunction:
     ``size`` counts list entries, not distinct questions; lookups return the
     answer of the first entry whose question matches.  They read a private
     index from each question's key (``_key``) to its first answer, built on
-    first use; a table grown by ``append_pairs`` builds its own the same
-    way.  ``_index`` is the package's one builder of a first-answer index
-    from pairs, and ``extend_with_default`` over a ``FiniteFunction`` is
-    its table oracle.  Equality, ``repr`` and hashing are those of
+    first use.  ``_index`` is the package's one builder of a first-answer
+    index from pairs, and ``extend_with_default`` over a ``FiniteFunction``
+    is its table oracle.  Equality, ``repr`` and hashing are those of
     ``entries`` alone.
     """
 
@@ -176,9 +174,6 @@ class FiniteFunction:
         for question, answer in self.entries:
             first.setdefault(_key(question), answer)
         return first
-
-    def append_pairs(self, pairs: Sequence) -> "FiniteFunction":
-        return FiniteFunction(self.entries + tuple(pairs))
 
 
 #: Tags the key of a non-integral rational, so no tuple question equals it.

@@ -202,8 +202,8 @@ def dialogue_trace(associate: AssociateFn, phi: NameOracle, question,
     for _ in range(max_rounds):
         if walk is None:
             if rounds:
-                state = state.append_pairs(
-                    tuple((q, phi(q)) for q in rounds[-1].payload))
+                state = FiniteFunction(state.entries + tuple(
+                    (q, phi(q)) for q in rounds[-1].payload))
             step = associate(state, question)
         else:
             if rounds:

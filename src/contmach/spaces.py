@@ -17,8 +17,7 @@ from .alphabets import (OPT_NONE, Alphabet, NameOracle, STAR, _scale,
                         booleans_alphabet, naturals_alphabet,
                         one_point_alphabet, opt_alphabet, pair_alphabet,
                         rationals_alphabet)
-from .machines import (ContinuousMachine, MonotoneMachine, evaluate,
-                       monotone_machine, use_first)
+from .machines import ContinuousMachine, MonotoneMachine, evaluate, use_first
 
 #: Accuracy questions sampled by the rational-real name check: 1, 1/2, …, 2^-20.
 RATIONAL_NAME_SCALES = tuple(_scale(k) for k in range(21))
@@ -64,10 +63,6 @@ def discrete_space(points: Alphabet) -> RepresentedSpace:
 
     return RepresentedSpace(f"discrete_{points.name}", one_point_alphabet(),
                             points, is_name, answer_ok, (STAR,))
-
-
-def booleans_space() -> RepresentedSpace:
-    return discrete_space(booleans_alphabet())
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +153,7 @@ def bool_to_kleenean_realizer() -> MonotoneMachine:
     def modulus(phi, effort, question):
         return [STAR]
 
-    return monotone_machine(machine, modulus, "boolean_names", "kleenean_names")
+    return MonotoneMachine(machine, modulus, "boolean_names", "kleenean_names")
 
 
 def _first_settled(key, in_space: str = "", out_space: str = "") -> MonotoneMachine:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from contmach import (ContinuousMachine, MonotoneMachine, STAR, compose_monotone,
                       effort_schedule, encode_value, inversion_machine,
-                      monotone_machine, use_first)
+                      use_first)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def threshold_machine(spec: ThresholdSpec) -> ContinuousMachine:
 def monotone_threshold(spec: ThresholdSpec) -> MonotoneMachine:
     assert not spec.vary
     cm = threshold_machine(spec)
-    return monotone_machine(cm.machine, cm.modulus)
+    return MonotoneMachine(cm.machine, cm.modulus)
 
 
 def random_threshold_spec(rng: random.Random, vary: bool = True,
@@ -181,6 +181,11 @@ def composite_chain(depth, calls=None):
     for _ in range(depth - 1):
         chain = compose_monotone(stage(), chain, Fraction(0))
     return chain
+
+
+def scan_twin(mm):
+    """``mm``'s functions without a settle: evaluate scans effort by effort."""
+    return MonotoneMachine(mm.machine, mm.modulus, mm.in_space, mm.out_space)
 
 
 def per_round(associate):

@@ -6,7 +6,6 @@ with -s (or read captured output) to see them.
 
 import contextlib
 import itertools
-import json
 import pathlib
 import random
 import time
@@ -15,13 +14,13 @@ from fractions import Fraction
 from _families import (all_small_oracles, failure_example,
                        last_element_modulus, monotone_threshold,
                        random_threshold_spec, small_oracle, table_machine,
-                       threshold_machine, two_point_oracles)
+                       threshold_machine)
 from contmach import (ContinuousMachine, FiniteMultifunction, INVERSION_POINTS,
                       OPT_NONE, SIGN_POINTS, STAR, bool_to_kleenean_realizer,
                       brute_force_min_modulus, check_realizer, chooses_through,
                       compose_monotone, constant_oracle,
                       derive_modulus_machine, dialogue_trace, embed_name,
-                      evaluate, exact_name, grid_name, in_F_M,
+                      evaluate, exact_name, in_F_M,
                       inversion_machine, kleenean_to_bool_machine,
                       machine_to_associate, mf_compose,
                       monotonize_kleenean_name, naturals_alphabet,

@@ -81,13 +81,14 @@ def scan_bound(ff, question):
 
 
 def chains(entries):
-    # The same table built in one go and by every chain of append_pairs.
+    # The same table built in one go and by every chain of appends, each
+    # concatenating the entries so far with the next slice.
     yield FiniteFunction(entries)
     for cuts in itertools.product((False, True), repeat=max(len(entries) - 1, 0)):
         ff, start = FiniteFunction(), 0
         for stop, cut in enumerate(cuts + (True,), start=1):
             if cut:
-                ff = ff.append_pairs(list(entries[start:stop]))
+                ff = FiniteFunction(ff.entries + entries[start:stop])
                 start = stop
         yield ff
 
@@ -121,7 +122,7 @@ def test_finite_function_identity_ignores_how_it_was_built():
     assert FiniteFunction(entries) != FiniteFunction(entries[:-1])
     # Appending leaves the table it grew from as it was.
     short = FiniteFunction(((0, "a"),))
-    grown = short.append_pairs([(1, "b"), (0, "c")])
+    grown = FiniteFunction(short.entries + ((1, "b"), (0, "c")))
     assert lookup(short, 1) is None and lookup(grown, 1) == "b"
     assert lookup(grown, 0) == "a" and short.entries == ((0, "a"),)
 
@@ -362,7 +363,8 @@ def test_index_helpers_agree_with_a_first_match_scan_on_every_kind_of_key():
         entries = tuple((rng.choice(drawn), rng.choice((None, "x", "y")))
                         for _ in range(rng.randrange(12)))
         cut = rng.randrange(len(entries) + 1)
-        grown = FiniteFunction(entries[:cut]).append_pairs(entries[cut:])
+        head = FiniteFunction(entries[:cut])
+        grown = FiniteFunction(head.entries + entries[cut:])
         padded = extend_with_default(grown, "d")
         spliced = override_oracle(lambda question: "base", entries)
         for question in probes + [q for q, _ in grown.entries]:
@@ -386,7 +388,7 @@ def test_appends_and_forks_match_tables_built_afresh():
         for _ in range(rng.randrange(1, 12)):
             pairs = [(rng.choice(drawn), rng.choice((None, "x", "y")))
                      for _ in range(rng.randrange(3))]
-            grown = rng.choice(states).append_pairs(pairs)
+            grown = FiniteFunction(rng.choice(states).entries + tuple(pairs))
             assert "_index" not in vars(grown)
             states.append(grown)
             padded.append(extend_with_default(grown, "d"))
@@ -407,7 +409,7 @@ def test_lookups_of_dyadic_questions_call_no_fraction_eq_or_hash(monkeypatch):
     # 512 keys); their keys are compared as integers instead.
     questions = DYADIC[:1000]
     table = [(q, n) for n, q in enumerate(questions)]
-    ff = FiniteFunction(()).append_pairs(table)
+    ff = FiniteFunction(tuple(table))
     padded = extend_with_default(ff, -1)
     spliced = override_oracle(lambda question: -1, table)
     calls = []

@@ -1,9 +1,12 @@
 """The package's public surface: a refactor may add names, never drop one
 (``sublist``, ``list_diff``, ``oracle_fixture`` and ``oracle_from_fixture``
 were dropped on purpose, as nothing but their own tests called them, and so
-was ``table_oracle``, a second constructor of the table oracle that
-``extend_with_default`` over a ``FiniteFunction`` already is), and the
-package and its tools import nothing outside the standard library."""
+were ``table_oracle``, a second constructor of the table oracle that
+``extend_with_default`` over a ``FiniteFunction`` already is, and the
+Booleans' own space constructor, a second spelling of
+``discrete_space(booleans_alphabet())``), the package and its tools import
+nothing outside the standard library, and no module imports a name it never
+uses."""
 
 import ast
 import pathlib
@@ -14,8 +17,8 @@ import contmach
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Every name ``contmach`` exported when this guard was written, less the
-#: five helpers named above that were dropped on purpose: the four fixture
-#: and list helpers, and ``table_oracle``.
+#: six helpers named above that were dropped on purpose: the four fixture
+#: and list helpers, ``table_oracle`` and the Booleans' space constructor.
 EXPORTED = (
     "Alphabet", "Answer", "AssociateFn", "ContinuousMachine",
     "CorpusSample", "DialogueRound", "DialogueTranscript", "Evaluation",
@@ -25,7 +28,7 @@ EXPORTED = (
     "PRECOMPLETION_SEARCH_BOUND", "Query", "RATIONAL_NAME_SCALES",
     "RealizerReport", "RepresentedSpace", "SIGN_POINTS", "STAR",
     "alphabets", "associates", "bool_to_kleenean_realizer",
-    "booleans_alphabet", "booleans_space", "brute_force_min_modulus",
+    "booleans_alphabet", "brute_force_min_modulus",
     "check_realizer", "chooses_through", "compose_monotone",
     "constant_oracle", "corpus_sample", "derive_modulus_machine",
     "dialogue_machine", "dialogue_trace", "discrete_space",
@@ -44,7 +47,7 @@ EXPORTED = (
 
 
 def test_exported_names_are_kept():
-    assert len(EXPORTED) == 79
+    assert len(EXPORTED) == 78
     missing = sorted(set(EXPORTED) - set(contmach.__all__))
     assert missing == []
 
@@ -117,3 +120,28 @@ def test_scanned_record_is_named_only_in_machines():
     users = [module for module, name in package_names()
              if name in ("_Settled", "_encoded")]
     assert users and set(users) == {"machines.py"}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # Each name an import binds (``import a.b`` binds ``a``) is read as a
+    # Name somewhere in its module.  ``__init__`` imports to re-export, and
+    # a ``__future__`` import binds nothing the module reads.
+    sources = ([path for path in sorted((ROOT / "src" / "contmach").glob("*.py"))
+                if path.name != "__init__.py"]
+               + sorted((ROOT / "tools").glob("*.py"))
+               + sorted((ROOT / "tests").glob("*.py")))
+    assert {"machines.py", "code_lines.py", "_families.py"} <= {
+        path.name for path in sources}
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            bound = [alias.asname or alias.name.partition(".")[0]
+                     for alias in node.names]
+            unused += [(path.name, name) for name in bound if name not in read]
+    assert unused == []

@@ -7,15 +7,16 @@ import pytest
 from _families import (all_small_oracles, assert_records_encode_their_lists,
                        composite_chain, counted, counting_machine,
                        monotone_threshold, per_round, random_threshold_spec,
-                       threshold_machine, ThresholdSpec, traced_by_attempts)
+                       scan_twin, threshold_machine, ThresholdSpec,
+                       traced_by_attempts)
 from contmach.associates import _questions
 from contmach import (Answer, ContinuousMachine, FiniteFunction, Query,
                       associates, compose_monotone, constant_oracle,
                       dialogue_machine, dialogue_trace, evaluate,
                       evaluate_traced, exact_name, extend_with_default,
                       grid_name, in_F_M, inversion_machine, lookup,
-                      machine_to_associate, monotone_machine, override_oracle,
-                      sign_machine, use_first)
+                      machine_to_associate, override_oracle, sign_machine,
+                      use_first)
 
 
 def constant_answer_associate(value):
@@ -90,7 +91,8 @@ def replayed_dialogue(associate):
             step = associate(state, question)
             if isinstance(step, Answer):
                 break
-            state = state.append_pairs(tuple((q, phi(q)) for q in step.questions))
+            state = FiniteFunction(state.entries + tuple(
+                (q, phi(q)) for q in step.questions))
         return state
 
     def machine(phi, effort, question):
@@ -155,9 +157,8 @@ def test_dialogue_machine_settle_matches_per_effort_scan(schedule):
         for cap in (-1, 0, 5, 64):
             pairs = [
                 (lambda cm, oracle: evaluate(cm, oracle, question, cap, schedule),
-                 lambda cm, oracle: evaluate(
-                     monotone_machine(cm.machine, cm.modulus), oracle,
-                     question, cap, schedule)),
+                 lambda cm, oracle: evaluate(scan_twin(cm), oracle, question,
+                                             cap, schedule)),
                 (lambda cm, oracle: evaluate_traced(cm, oracle, question, cap,
                                                     schedule),
                  lambda cm, oracle: traced_by_attempts(cm, oracle, question,
@@ -319,8 +320,7 @@ def test_associate_is_unchanged_by_use_first():
         raw = machine_to_associate(cm, 0, 0)
         mm = use_first(cm)
         first = machine_to_associate(mm, 0, 0)
-        scanned = machine_to_associate(monotone_machine(mm.machine, mm.modulus),
-                                       0, 0)
+        scanned = machine_to_associate(scan_twin(mm), 0, 0)
         for state in transcripts:
             for question in range(3):
                 want = raw(state, question)
@@ -520,12 +520,12 @@ def test_resumed_walk_matches_per_round_walk_on_composites():
 def test_resumed_dialogue_grows_its_transcript_without_copying(monkeypatch):
     # 4,096 rounds on 0 make one machine and two modulus calls per round
     # after the first, as 1,024 do above, and the resumed walk's transcript
-    # grows in place, never through append_pairs, whose copy of the
-    # transcript made such a dialogue quadratic in its rounds.
-    def refuse(state, pairs):
-        raise AssertionError("a resumed dialogue copied its transcript")
+    # grows in place: the dialogue builds no FiniteFunction, whose copy of
+    # the transcript per round made such a dialogue quadratic in its rounds.
+    def refuse(table, *args, **kwargs):
+        raise AssertionError("a resumed dialogue built a FiniteFunction")
 
-    monkeypatch.setattr(FiniteFunction, "append_pairs", refuse)
+    monkeypatch.setattr(FiniteFunction, "__init__", refuse)
     calls = [0, 0]
     associate = machine_to_associate(
         use_first(counting_machine(inversion_machine(), calls)),
@@ -652,7 +652,7 @@ def transcript_comparisons(size):
     tally = [0]
     state = FiniteFunction()
     for i in range(size):
-        state = state.append_pairs([(CountedQuestion(i, tally), i)])
+        state = FiniteFunction(state.entries + ((CountedQuestion(i, tally), i),))
     probes = [size - 1, size // 2, 0]
     asked = lambda: [CountedQuestion(i, tally) for i in probes]
     cm = ContinuousMachine(lambda phi, n, q: sum(phi(p) for p in asked()),

@@ -9,20 +9,18 @@ import pytest
 from _families import (all_small_oracles, assert_records_encode_their_lists,
                        composite_chain, counted, counting_machine,
                        failure_example, last_element_modulus,
-                       monotone_threshold, random_threshold_spec, small_oracle,
+                       monotone_threshold, random_threshold_spec, scan_twin,
                        table_machine, threshold_machine, ThresholdSpec,
                        traced_by_attempts, two_point_oracles)
 from contmach import (INVERSION_POINTS, OPT_NONE, SIGN_POINTS,
                       ContinuousMachine, MembershipResult, ModulusSearchError,
-                      STAR, brute_force_min_modulus, compose_monotone,
-                      constant_oracle, derive_modulus_machine,
-                      effort_schedule, encode_value, evaluate,
-                      evaluate_traced, exact_name,
-                      grid_name, in_F_M, inversion_machine,
-                      kleenean_to_bool_machine, machine_to_associate,
-                      monotone_machine,
-                      naturals_alphabet, restriction_eq, sign_machine,
-                      use_first)
+                      MonotoneMachine, STAR, brute_force_min_modulus,
+                      compose_monotone, constant_oracle,
+                      derive_modulus_machine, effort_schedule, encode_value,
+                      evaluate, evaluate_traced, exact_name, grid_name,
+                      in_F_M, inversion_machine, kleenean_to_bool_machine,
+                      machine_to_associate, naturals_alphabet,
+                      restriction_eq, sign_machine, use_first)
 
 
 def step_machine(threshold, value="a"):
@@ -355,7 +353,7 @@ def test_derive_modulus_machine_certificates_exhaustively():
 
 def identity_lift():
     # Echo the intermediate oracle: answers at every effort.
-    return monotone_machine(lambda phi, n, q: phi(q), lambda phi, n, q: [q])
+    return MonotoneMachine(lambda phi, n, q: phi(q), lambda phi, n, q: [q])
 
 
 def test_compose_with_identity_outer_equals_inner():
@@ -369,22 +367,22 @@ def test_compose_with_identity_outer_equals_inner():
 
 
 def test_compose_with_silent_inner():
-    silent = monotone_machine(lambda phi, n, q: None, lambda phi, n, q: [q])
+    silent = MonotoneMachine(lambda phi, n, q: None, lambda phi, n, q: [q])
     asking_outer = identity_lift()
     composite = compose_monotone(asking_outer, silent, intermediate_default=0)
     assert composite.machine(constant_oracle(1), 5, 2) is None
 
     # An outer that never asks anything defers to the default-padded oracle.
-    oblivious_outer = monotone_machine(lambda phi, n, q: phi(q) + 100,
+    oblivious_outer = MonotoneMachine(lambda phi, n, q: phi(q) + 100,
                                        lambda phi, n, q: [])
     deferred = compose_monotone(oblivious_outer, silent, intermediate_default=0)
     assert deferred.machine(constant_oracle(1), 0, 2) == 100
 
 
 def test_compose_alignment_rejected():
-    inner = monotone_machine(lambda phi, n, q: phi(q), lambda phi, n, q: [q],
+    inner = MonotoneMachine(lambda phi, n, q: phi(q), lambda phi, n, q: [q],
                              in_space="a_names", out_space="b_names")
-    outer = monotone_machine(lambda phi, n, q: phi(q), lambda phi, n, q: [q],
+    outer = MonotoneMachine(lambda phi, n, q: phi(q), lambda phi, n, q: [q],
                              in_space="c_names", out_space="d_names")
     with pytest.raises(ValueError):
         compose_monotone(outer, inner, intermediate_default=0)
@@ -465,11 +463,6 @@ def test_composite_answers_at_the_later_stage_threshold():
 
 # ---------------------------------------------------------------------------
 # Settling: evaluate's one-pass path for use_first and compose_monotone
-
-
-def scan_twin(mm):
-    # The same functions without a settle: evaluate scans effort by effort.
-    return monotone_machine(mm.machine, mm.modulus, mm.in_space, mm.out_space)
 
 
 def corpus_names(points):
@@ -746,12 +739,8 @@ def test_composite_records_encode_their_lists_on_re_settled_lists():
 
     def stage(index):
         first = use_first(inversion_machine())
-
-        def settle(phi, cap):
-            settles[index] += 1
-            return first.settle(phi, cap)
-
-        return dataclasses.replace(first, settle=settle)
+        return dataclasses.replace(
+            first, settle=counted(first.settle, settles, index))
 
     chain = compose_monotone(stage(2), compose_monotone(stage(1), stage(0),
                                                         Fraction(0)),

@@ -6,12 +6,12 @@ from fractions import Fraction
 from _families import logged, per_round
 from contmach import associates
 from contmach.alphabets import _scale
-from contmach import (FiniteMultifunction, INVERSION_POINTS, OPT_NONE,
-                      SIGN_POINTS, check_realizer, chooses_through,
-                      constant_oracle, corpus_sample, dialogue_trace, evaluate,
+from contmach import (FiniteMultifunction, INVERSION_POINTS, MonotoneMachine,
+                      OPT_NONE, SIGN_POINTS, check_realizer, chooses_through,
+                      constant_oracle, dialogue_trace, evaluate,
                       evaluate_traced, exact_name, grid_name,
                       inversion_machine, load_corpus, machine_to_associate,
-                      mf_compose, monotone_machine, override_oracle,
+                      mf_compose, override_oracle,
                       rational_reals, restriction_eq, sign_kleenean,
                       sign_machine, standard_corpus, kleeneans, tightens,
                       use_first)
@@ -279,6 +279,18 @@ def forbid(monkeypatch, names, calls):
         monkeypatch.setattr(Fraction, name, wrapped)
 
 
+def run_inversions(cases):
+    # Each case on a fresh machine: its answer, its modulus list, and its
+    # answer asked again after the list.
+    got = []
+    for name, effort, accuracy in cases:
+        cm = inversion_machine()
+        got.append((cm.machine(name, effort, accuracy),
+                    cm.modulus(name, effort, accuracy),
+                    cm.machine(name, effort, accuracy)))
+    return got
+
+
 def test_inversion_calls_no_fraction_arithmetic(monkeypatch):
     # The machine and its modulus compute on integers and only construct
     # Fractions, at silent and answering efforts alike.
@@ -288,11 +300,7 @@ def test_inversion_calls_no_fraction_arithmetic(monkeypatch):
              for effort in (0, 1, 5, 30, 1100)]
     calls = []
     forbid(monkeypatch, FRACTION_ARITHMETIC, calls)
-    got = []
-    for name, effort, accuracy in cases:
-        cm = inversion_machine()
-        got.append((cm.machine(name, effort, accuracy), cm.modulus(name, effort, accuracy),
-                    cm.machine(name, effort, accuracy)))
+    got = run_inversions(cases)
     monkeypatch.undo()
     assert calls == []
     for (name, effort, accuracy), (fresh, modulus, held) in zip(cases, got):
@@ -314,11 +322,7 @@ def test_inversion_reads_fraction_terms_from_their_slots(monkeypatch):
              for effort in (0, 1, 5, 30, 1100)]
     calls = []
     forbid(monkeypatch, FRACTION_ARITHMETIC + FRACTION_TERMS, calls)
-    got = []
-    for name, effort, accuracy in cases:
-        cm = inversion_machine()
-        got.append((cm.machine(name, effort, accuracy), cm.modulus(name, effort, accuracy),
-                    cm.machine(name, effort, accuracy)))
+    got = run_inversions(cases)
     monkeypatch.undo()
     assert calls == []
     for (name, effort, accuracy), (fresh, modulus, held) in zip(cases, got):
@@ -566,7 +570,7 @@ def test_check_sign_realizes_kleenean_sign():
 
 def test_check_flags_broken_machine():
     cm = inversion_machine()
-    shifted = monotone_machine(
+    shifted = MonotoneMachine(
         lambda phi, n, q: None if cm.machine(phi, n, q) is None
         else cm.machine(phi, n, q) + 2 * q,
         cm.modulus)
@@ -588,7 +592,7 @@ def test_check_flags_broken_machine():
 
 
 def test_check_reports_fuel_exhaustion_as_undecided():
-    silent = monotone_machine(lambda phi, n, q: None, lambda phi, n, q: [])
+    silent = MonotoneMachine(lambda phi, n, q: None, lambda phi, n, q: [])
     report = check_realizer(silent, lambda x: 1 / x, rational_reals(),
                             rational_reals(),
                             standard_corpus((Fraction(2),)), 16)

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 from _families import counted, logged
 from contmach import (FiniteFunction, Kleenean, OPT_NONE, STAR,
-                      booleans_alphabet, booleans_space,
-                      bool_to_kleenean_realizer, compose_monotone,
+                      booleans_alphabet, bool_to_kleenean_realizer, compose_monotone,
                       constant_oracle, discrete_space, embed_name, evaluate,
                       exact_name, extend_with_default, kleenean_from_bool,
                       kleenean_to_bool_machine, kleeneans,
@@ -218,7 +217,7 @@ def test_search_all_none_column_diverges():
 
 
 def test_precompleted_space_membership():
-    space = precompletion(booleans_space())
+    space = precompletion(discrete_space(booleans_alphabet()))
     phi = constant_oracle(True)
     assert space.is_name(embed_name(phi), True)
     assert not space.is_name(embed_name(phi), False)
