@@ -86,7 +86,11 @@ class _SettlingMachine(MonotoneMachine):
     over an outer list, and derives its first answer from its outer record
     and the inner records of that list.  ``_Settled``, the record of a
     machine without a ``settle`` (``_scan_settle``), calls the machine's
-    modulus at the effort asked.
+    modulus at the effort asked.  A composite's list is written in place:
+    its ``_FirstSettled`` and nested ``_ComposedSettled`` records write
+    into the one list being built (a private ``_extend``), and a composite
+    record met again within that one ask is copied from the span it wrote
+    the first time.
 
     ``_first_of`` is set on the machines ``use_first`` builds: the machine
     it monotonized, the innermost one when ``use_first`` is nested.
@@ -235,8 +239,9 @@ def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
     this trace's one encoder: a ``_FirstSettled`` record (``use_first``'s,
     ``dialogue_machine``'s) computes each step list once and encodes each
     entry once, a composite's list is the concatenation of its stages'
-    records' texts, and a machine without a ``settle`` has its modulus
-    called and encoded at every attempt.  Values and questions are rendered
+    records' texts, written into one list per attempt with each composite
+    record met again copied by span, and a machine without a ``settle``
+    has its modulus called and encoded at every attempt.  Values and questions are rendered
     with ``encode_value``, each question object once per trace: the
     encoder's memo is keyed by the object's identity, and ``kept`` holds
     every encoded object, so no id is reused while the trace is built, even
@@ -320,6 +325,9 @@ class _FirstSettled:
     The record holds only what it was settled from.  Its lists are made on
     the first ask and extended as n grows, so each step list is computed
     once and each entry encoded once, whatever the order of the asks.
+    ``_extend(listed, n, encode)`` writes the list at n into the caller's
+    ``listed``: a composite's list takes it with one copy, and a list or
+    texts that already end at n are copied whole, with no slice.
     """
 
     __slots__ = ("found", "_modulus", "_phi", "_question", "_collected",
@@ -331,6 +339,11 @@ class _FirstSettled:
         self._ends = None
 
     def modulus(self, effort, encode=None):
+        listed = []
+        self._extend(listed, effort, encode)
+        return listed
+
+    def _extend(self, listed, effort, encode):
         if self._ends is None:
             self._collected, self._ends, self._texts = [], [], []
         collected, ends, found = self._collected, self._ends, self.found
@@ -338,11 +351,13 @@ class _FirstSettled:
         while len(ends) <= last:
             collected.extend(self._modulus(self._phi, len(ends), self._question))
             ends.append(len(collected))
-        if encode is None:
-            return collected[:ends[last]]
-        texts = self._texts
-        texts.extend(map(encode, collected[len(texts):ends[last]]))
-        return texts[:ends[last]]
+        end = ends[last]
+        if encode is not None:
+            texts = self._texts
+            if len(texts) < end:
+                texts.extend(map(encode, collected[len(texts):end]))
+            collected = texts
+        listed += collected if len(collected) == end else collected[:end]
 
 
 def use_first(machine_like) -> MonotoneMachine:
@@ -430,6 +445,16 @@ class _ComposedSettled:
     settled again, up to n on the padded answers at n, for the list to read.
     ``context`` is the evaluation's ``(inner_settled, settle_outer,
     padded_at)``; the record makes no list until one is asked for.
+
+    Each ask builds one list: ``_extend(listed, n, encode, spans)`` writes
+    the inner records' lists into ``listed`` in order, a ``_FirstSettled``
+    record and a nested composite writing in place.  ``spans`` maps each
+    composite record already written during this ask to its ``(start,
+    end)`` in ``listed``, and a composite record met again is copied from
+    there, so each is built once per ask.  A record's list at n is the same
+    wherever it appears, for one encoder, so the copy is exact; ``spans``
+    is made for each top-level ask and dropped after it, since its spans
+    hold only within that ask's list, effort and encoder.
     """
 
     __slots__ = ("found", "_outer", "_question", "_context")
@@ -446,6 +471,13 @@ class _ComposedSettled:
                 self.found = Evaluation(found.value, needed_found.effort)
 
     def modulus(self, effort, encode=None):
+        listed = []
+        self._extend(listed, effort, encode, {})
+        return listed
+
+    def _extend(self, listed, effort, encode, spans):
+        # ``spans`` maps each composite record this ask has written into
+        # ``listed`` to its ``(start, end)`` there; it lives for one ask.
         inner_settled, settle_outer, padded_at = self._context
         # The inner records of the outer list, looked up once; they are
         # looked up again only for a re-settled list.
@@ -456,10 +488,20 @@ class _ComposedSettled:
                 inner_records = map(inner_settled, settle_outer(
                     padded_at(effort), effort)(self._question).modulus(effort))
                 break
-        listed = []
         for record in inner_records:
-            listed += record.modulus(effort, encode)
-        return listed
+            kind = type(record)
+            if kind is _FirstSettled:
+                record._extend(listed, effort, encode)
+            elif kind is _ComposedSettled:
+                span = spans.get(record)
+                if span is None:
+                    start = len(listed)
+                    record._extend(listed, effort, encode, spans)
+                    spans[record] = start, len(listed)
+                else:
+                    listed += listed[span[0]:span[1]]
+            else:
+                listed += record.modulus(effort, encode)
 
 
 def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
@@ -502,8 +544,12 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     ``_ComposedSettled`` object built from its outer record, its question
     and the evaluation's context; it derives its first answer by the rule
     above from the outer record and the inner records when it is built,
-    after the outer settle returns, keeps no list, and builds one per ask,
-    one inner record's list after another.
+    after the outer settle returns, keeps no list, and builds one per ask:
+    each inner record writes its list into that one list in place, and a
+    composite record met again within the ask, as the scale questions 2^-k
+    of an inversion chain meet the same records on many outer lists, is
+    copied from the span it wrote the first time, so a trace builds each
+    record once per attempt, however often it appears.
     """
     inner_machine, inner_modulus = _parts(inner, "compose_monotone")
     outer_machine, outer_modulus = _parts(outer, "compose_monotone")

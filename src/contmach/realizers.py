@@ -44,7 +44,11 @@ def inversion_machine() -> ContinuousMachine:
     md = q * 2^n, so the machine is silent exactly when mn <= 0, and
     otherwise the query point is mn/(2 md) when d * md <= a * mn and
     a * mn^2/(2 d md^2) otherwise; that one comparison picks the smaller
-    of delta and eps*delta^2 for every sign of a.  For a second
+    of delta and eps*delta^2 for every sign of a.  ``machine`` and
+    ``modulus`` each read the 2^-n approximation and test the margin
+    themselves, so a silent effort costs ``machine`` one call and builds no
+    Fraction; one closure, ``point_at(mn, md, accuracy)``, builds the query
+    point for both.  For a second
     approximation p'/q' the answer is q'/p', and None when p' = 0.  An
     accuracy that is neither an int nor a Fraction is read as the Fraction
     of its exact value.  The terms are read from the ``_numerator`` and
@@ -62,32 +66,30 @@ def inversion_machine() -> ContinuousMachine:
     """
     slot = None
 
-    def query_point(phi, effort, accuracy):
-        scale = _scale(effort)
-        approx = phi(scale)
-        if type(approx) is not Fraction:
-            approx = Fraction(approx)
-        q = approx._denominator
-        mn = (abs(approx._numerator) << effort) - q
-        if mn <= 0:
-            return scale, None
-        md = q << effort
+    def point_at(mn, md, accuracy):
         if type(accuracy) is not Fraction:
             accuracy = Fraction(accuracy)
         a, d = accuracy._numerator, accuracy._denominator
         if d * md <= a * mn:
-            return scale, Fraction(mn, 2 * md)
-        return scale, Fraction(a * mn * mn, 2 * d * md * md)
+            return Fraction(mn, 2 * md)
+        return Fraction(a * mn * mn, 2 * d * md * md)
 
     def machine(phi, effort, accuracy):
         held = slot
         if (held is not None and held[0] is phi and held[2] is accuracy
                 and held[1] == effort):
             point = held[3]
+            if point is None:
+                return None
         else:
-            _, point = query_point(phi, effort, accuracy)
-        if point is None:
-            return None
+            approx = phi(_scale(effort))
+            if type(approx) is not Fraction:
+                approx = Fraction(approx)
+            q = approx._denominator
+            mn = (abs(approx._numerator) << effort) - q
+            if mn <= 0:
+                return None
+            point = point_at(mn, q << effort, accuracy)
         approximation = phi(point)
         if type(approximation) is not Fraction:
             approximation = Fraction(approximation)
@@ -96,7 +98,13 @@ def inversion_machine() -> ContinuousMachine:
 
     def modulus(phi, effort, accuracy):
         nonlocal slot
-        scale, point = query_point(phi, effort, accuracy)
+        scale = _scale(effort)
+        approx = phi(scale)
+        if type(approx) is not Fraction:
+            approx = Fraction(approx)
+        q = approx._denominator
+        mn = (abs(approx._numerator) << effort) - q
+        point = None if mn <= 0 else point_at(mn, q << effort, accuracy)
         slot = (phi, effort, accuracy, point)
         if point is None:
             return [scale]

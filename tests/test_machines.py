@@ -750,6 +750,34 @@ def test_composite_records_encode_their_lists_on_re_settled_lists():
     assert settles[0] == 3 and settles[1] > 3 and settles[2] > 3
 
 
+DEEP_NAMES = NEAR_NAMES + [exact_name(Fraction(-1, 131072))]
+
+
+def test_deep_composite_records_encode_their_lists():
+    # From depth 3 on, one list meets the same inner composite record more
+    # than once and copies the span it wrote the first time; on
+    # -1/131072 some of those records are re-settled lists.
+    assert_records_encode_their_lists(composite_chain(4), DEEP_NAMES, EPSILONS,
+                                      (0, 5, 8))
+    assert_records_encode_their_lists(composite_chain(5), DEEP_NAMES, EPSILONS,
+                                      (0, 6))
+
+
+def test_a_deep_composite_record_asked_again_lists_as_the_machine():
+    # A record's spans live for one ask: the same depth-4 record, asked at
+    # two efforts, each with and without the encoder and in either order,
+    # lists what the per-effort modulus lists there.
+    chain, question = composite_chain(4), Fraction(1, 10 ** 6)
+    for point in (Fraction(1, 10 ** 6), Fraction(-1, 131072)):
+        phi = exact_name(point)
+        expected = {n: chain.modulus(phi, n, question) for n in (8, 16)}
+        record = chain.settle(phi, 16)(question)
+        for n, encode in ((8, repr), (8, None), (16, None), (16, repr),
+                          (8, repr), (8, None)):
+            listed = expected[n] if encode is None else list(map(repr, expected[n]))
+            assert record.modulus(n, encode) == listed, (point, n, encode)
+
+
 def holds_a_list(record):
     return any(isinstance(held, list) for held in gc.get_referents(record))
 

@@ -480,6 +480,28 @@ def test_machine_only_scans_query_as_the_reference_does():
     assert len(asked) == 2 * 21 + 1
 
 
+def test_a_silent_effort_asks_once_and_builds_no_fraction(monkeypatch):
+    # On 0 every effort is silent: the machine reads the 2^-n approximation,
+    # tests the margin on its integer terms and returns, with no query point
+    # built.
+    for effort in range(65):
+        _scale(effort)
+    asked, built = [], []
+    name, accuracy = logged(exact_name(0), asked), Fraction(1, 8)
+    cm = inversion_machine()
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    answers = [cm.machine(name, effort, accuracy) for effort in range(65)]
+    monkeypatch.undo()
+    assert answers == [None] * 65
+    assert len(asked) == 65 and built == []
+
+
 # ---------------------------------------------------------------------------
 # Finite multifunctions
 
