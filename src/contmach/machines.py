@@ -241,11 +241,12 @@ def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
     entry once, a composite's list is the concatenation of its stages'
     records' texts, written into one list per attempt with each composite
     record met again copied by span, and a machine without a ``settle``
-    has its modulus called and encoded at every attempt.  Values and questions are rendered
-    with ``encode_value``, each question object once per trace: the
-    encoder's memo is keyed by the object's identity, and ``kept`` holds
-    every encoded object, so no id is reused while the trace is built, even
-    where a modulus builds fresh questions on every call.
+    has its modulus called and encoded at every attempt.  Values and
+    questions are rendered with ``encode_value``, each question object
+    once per trace: the encoder's memo is keyed by the object's identity,
+    and ``kept`` holds every encoded object, so no id is reused while the
+    trace is built, even where a modulus builds fresh questions on every
+    call.
     """
     efforts = effort_schedule(fuel_cap, schedule)
     result, modulus = _evaluation(machine_like, phi, question, efforts)
@@ -476,8 +477,6 @@ class _ComposedSettled:
         return listed
 
     def _extend(self, listed, effort, encode, spans):
-        # ``spans`` maps each composite record this ask has written into
-        # ``listed`` to its ``(start, end)`` there; it lives for one ask.
         inner_settled, settle_outer, padded_at = self._context
         # The inner records of the outer list, looked up once; they are
         # looked up again only for a re-settled list.
