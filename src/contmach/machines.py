@@ -67,17 +67,18 @@ class _SettlingMachine(MonotoneMachine):
     """A monotone machine that can settle a question in one pass.
 
     ``settle(phi, cap)`` is the settled context of one evaluation: a function
-    mapping a question to its record, an object with two names.  The
-    record's ``found`` is the first effort <= cap at which the machine
-    answers, with that answer, or None; its ``modulus(n)`` is the list
-    ``modulus(phi, n, question)`` at any effort n up to the cap, read off the
-    same search under the monotone contract, so a trace of the evaluation
-    needs no second settle, and ``modulus(n, encode)`` is that list's texts,
-    rendered by the record itself.  A record holds what it was settled from
-    and makes its lists on the first ask, so an untraced evaluation builds
-    none it does not read.  The context keeps no memo of its own:
-    ``compose_monotone`` caches its inner stage's records, the only ones
-    asked for again within one evaluation.
+    mapping a question to its record, a ``_Record`` object.  Every record
+    has one protocol.  Its ``found`` is the first effort <= cap at which the
+    machine answers, with that answer, or None; its ``modulus(n)`` is the
+    list ``modulus(phi, n, question)`` at any effort n up to the cap, read
+    off the same search under the monotone contract, so a trace of the
+    evaluation needs no second settle, and ``modulus(n, encode)`` is that
+    list's texts, rendered by the record itself; its private ``_extend``
+    writes that list into a list the caller is building.  A record holds
+    what it was settled from and makes its lists on the first ask, so an
+    untraced evaluation builds none it does not read.  The context keeps no
+    memo of its own: ``compose_monotone`` caches its inner stage's records,
+    the only ones asked for again within one evaluation.
 
     Each record class follows one list rule.  ``_FirstSettled`` concatenates
     per-step lists up to the first answer: ``use_first``'s records, and
@@ -85,12 +86,11 @@ class _SettlingMachine(MonotoneMachine):
     questions.  ``_ComposedSettled`` concatenates its inner records' lists
     over an outer list, and derives its first answer from its outer record
     and the inner records of that list.  ``_Settled``, the record of a
-    machine without a ``settle`` (``_scan_settle``), calls the machine's
-    modulus at the effort asked.  A composite's list is written in place:
-    its ``_FirstSettled`` and nested ``_ComposedSettled`` records write
-    into the one list being built (a private ``_extend``), and a composite
-    record met again within that one ask is copied from the span it wrote
-    the first time.
+    machine without a ``settle``, calls the machine's modulus at the effort
+    asked.  A composite's list is written in place: each inner record,
+    whatever its class, writes into the one list being built, and any
+    record met again within that one ask, a scanned one included, is copied
+    from the span it wrote the first time.
 
     ``_first_of`` is set on the machines ``use_first`` builds: the machine
     it monotonized, the innermost one when ``use_first`` is nested.
@@ -125,23 +125,46 @@ class Evaluation(NamedTuple):
     effort: int
 
 
-class _Settled(NamedTuple):
-    """One question of a settled machine: its first answer up to the cap, and
-    ``modulus(n)``, the machine's modulus list at any effort n up to the cap.
+class _Record:
+    """A settle record of one question: ``found``, its first answer up to the
+    cap, or None, and ``modulus(n, encode=None)``, the machine's modulus list
+    at any effort n up to the cap, or that list's texts by ``encode``.
 
-    ``modulus(n, encode)`` is the same list with each question q replaced by
-    ``encode(q)``.  A record may keep the texts it made, so it is given one
-    encoder, the one of the trace that reads it.
+    Every record class writes its list one way, ``_extend(listed, n, encode,
+    spans)``, which appends the list at n to the caller's ``listed``; this
+    one ``modulus`` hands it a fresh list and a fresh ``spans``, the span
+    memo of the composites (``_ComposedSettled``), which lives for one ask.
+    """
 
-    This is the record of a scanned machine only (``_scan_settle``), whose
-    ``modulus`` calls the machine's modulus at the effort asked.  Settling
-    machines build objects of their own classes with the same two names:
+    __slots__ = ()
+
+    def modulus(self, effort, encode=None):
+        listed = []
+        self._extend(listed, effort, encode, {})
+        return listed
+
+
+class _Settled(_Record):
+    """The record of a question for a machine without a ``settle`` of its
+    own: building it is the scan, ``found`` the first answer along
+    ``efforts``.  Its list at n is the machine's modulus called at n, and
+    ``_modulus`` is None for a bare callable, which has no list.
+
+    Settling machines build records of their own ``_Record`` classes:
     ``_FirstSettled`` for ``use_first`` and ``dialogue_machine``,
     ``_ComposedSettled`` for ``compose_monotone``.
     """
 
-    found: Optional[Evaluation]
-    modulus: Callable[..., list]
+    __slots__ = ("found", "_modulus", "_phi", "_question")
+
+    def __init__(self, machine_like, phi: NameOracle, efforts, question):
+        machine, self._modulus = _parts(machine_like)
+        self._phi, self._question = phi, question
+        self.found = _first_answer(machine, phi, question, efforts)
+
+    def _extend(self, listed, effort, encode, spans):
+        needed = self._modulus(self._phi, effort, self._question)
+        listed += needed if encode is None else map(encode, needed)
 
 
 class MembershipResult(NamedTuple):
@@ -181,13 +204,15 @@ def _evaluation(machine_like, phi: NameOracle, question, efforts):
     """``evaluate``'s result along ``efforts``, and the modulus at an effort.
 
     The second item maps a scheduled effort, and an optional encoder, to
-    the modulus list there, or is None for a machine without a modulus.  A
-    settled machine's lists come from the record of its one settle; any
-    other machine is scanned.
+    the modulus list there, or is None for a machine without a modulus.
+    Both items come from one record: a settled machine's record of its one
+    settle, and for any other machine a ``_Settled`` record, whose building
+    is the scan.  Either way the lists are the record's ``modulus``.
     """
     settle = getattr(machine_like, "settle", None)
     if settle is None or not efforts:
-        return _scan_settle(machine_like, phi, efforts, question)
+        record = _Settled(machine_like, phi, efforts, question)
+        return record.found, record._modulus and record.modulus
     record = settle(phi, efforts[-1])(question)
     found = record.found
     if found is not None:
@@ -204,27 +229,10 @@ def _first_answer(machine: MachineFn, phi: NameOracle, question,
     return None
 
 
-def _encoded(listed, encode):
-    """``listed``, or its texts by ``encode`` when there is an encoder."""
-    return listed if encode is None else list(map(encode, listed))
-
-
-def _scan_settle(machine_like, phi: NameOracle, efforts, question) -> _Settled:
-    """The record of a question for any machine without a ``settle`` of its
-    own: ``found`` is the first answer along ``efforts``, and ``modulus``
-    calls the machine's modulus at the effort asked, or is None for a bare
-    callable."""
-    machine, modulus = _parts(machine_like)
-    return _Settled(_first_answer(machine, phi, question, efforts),
-                    None if modulus is None
-                    else lambda effort, encode=None:
-                    _encoded(modulus(phi, effort, question), encode))
-
-
 def _settle_fn(mm: MonotoneMachine):
-    """``mm``'s own settle, or the scan above along efforts 0..cap."""
+    """``mm``'s own settle, or the scan of ``_Settled`` along efforts 0..cap."""
     return getattr(mm, "settle", None) or (
-        lambda phi, cap: functools.partial(_scan_settle, mm, phi, range(cap + 1)))
+        lambda phi, cap: functools.partial(_Settled, mm, phi, range(cap + 1)))
 
 
 def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
@@ -239,14 +247,14 @@ def evaluate_traced(machine_like, phi: NameOracle, question, fuel_cap: int,
     this trace's one encoder: a ``_FirstSettled`` record (``use_first``'s,
     ``dialogue_machine``'s) computes each step list once and encodes each
     entry once, a composite's list is the concatenation of its stages'
-    records' texts, written into one list per attempt with each composite
-    record met again copied by span, and a machine without a ``settle``
-    has its modulus called and encoded at every attempt.  Values and
-    questions are rendered with ``encode_value``, each question object
-    once per trace: the encoder's memo is keyed by the object's identity,
-    and ``kept`` holds every encoded object, so no id is reused while the
-    trace is built, even where a modulus builds fresh questions on every
-    call.
+    records' texts, written into one list per attempt with every stage
+    record met again, a scanned one included, copied by span, and a
+    machine without a ``settle`` has its modulus called and encoded at
+    every attempt.  Values and questions are rendered with
+    ``encode_value``, each question object once per trace: the encoder's
+    memo is keyed by the object's identity, and ``kept`` holds every
+    encoded object, so no id is reused while the trace is built, even
+    where a modulus builds fresh questions on every call.
     """
     efforts = effort_schedule(fuel_cap, schedule)
     result, modulus = _evaluation(machine_like, phi, question, efforts)
@@ -312,9 +320,9 @@ def in_F_M(machine_like, phi: NameOracle, candidate: NameOracle,
 # Monotonization
 
 
-class _FirstSettled:
-    """A monotone record of one question: ``found``, the first answer up to
-    the cap, and ``modulus(n, encode=None)``, the step lists
+class _FirstSettled(_Record):
+    """A monotone ``_Record`` of one question: ``found``, the first answer
+    up to the cap, and ``modulus(n, encode=None)``, the step lists
     ``modulus(phi, k, question)`` at efforts k = 0..min(n, f) concatenated,
     f the first answering effort (n where there is none up to the cap).
 
@@ -326,8 +334,8 @@ class _FirstSettled:
     The record holds only what it was settled from.  Its lists are made on
     the first ask and extended as n grows, so each step list is computed
     once and each entry encoded once, whatever the order of the asks.
-    ``_extend(listed, n, encode)`` writes the list at n into the caller's
-    ``listed``: a composite's list takes it with one copy, and a list or
+    ``_extend(listed, n, encode, spans)`` writes the list at n into the
+    caller's ``listed``, with one copy, and ignores ``spans``: a list or
     texts that already end at n are copied whole, with no slice.
     """
 
@@ -339,12 +347,7 @@ class _FirstSettled:
             found, modulus, phi, question)
         self._ends = None
 
-    def modulus(self, effort, encode=None):
-        listed = []
-        self._extend(listed, effort, encode)
-        return listed
-
-    def _extend(self, listed, effort, encode):
+    def _extend(self, listed, effort, encode, spans):
         if self._ends is None:
             self._collected, self._ends, self._texts = [], [], []
         collected, ends, found = self._collected, self._ends, self.found
@@ -431,8 +434,8 @@ def derive_modulus_machine(machine_like) -> ContinuousMachine:
 # Composition of monotone machines
 
 
-class _ComposedSettled:
-    """A composite's record of one question, derived from ``outer``, the
+class _ComposedSettled(_Record):
+    """A composite's ``_Record`` of one question, derived from ``outer``, the
     outer stage's record of it on the limit oracle, and the inner records.
 
     ``found``, its first answer up to the cap, is set on construction: the
@@ -448,14 +451,15 @@ class _ComposedSettled:
     padded_at)``; the record makes no list until one is asked for.
 
     Each ask builds one list: ``_extend(listed, n, encode, spans)`` writes
-    the inner records' lists into ``listed`` in order, a ``_FirstSettled``
-    record and a nested composite writing in place.  ``spans`` maps each
-    composite record already written during this ask to its ``(start,
-    end)`` in ``listed``, and a composite record met again is copied from
-    there, so each is built once per ask.  A record's list at n is the same
-    wherever it appears, for one encoder, so the copy is exact; ``spans``
-    is made for each top-level ask and dropped after it, since its spans
-    hold only within that ask's list, effort and encoder.
+    the inner records' lists into ``listed`` in order, each record, whatever
+    its class, writing in place through its own ``_extend``.  ``spans`` maps
+    each record already written during this ask to its ``(start, end)`` in
+    ``listed``, and a record met again, a scanned ``_Settled`` one
+    included, is copied from there, so each is built once per ask.  A
+    record's list at n is the same wherever it appears, for one encoder, so
+    the copy is exact; ``spans`` is made for each top-level ask and dropped
+    after it, since its spans hold only within that ask's list, effort and
+    encoder.
     """
 
     __slots__ = ("found", "_outer", "_question", "_context")
@@ -471,11 +475,6 @@ class _ComposedSettled:
             if needed_found.effort > self.found.effort:
                 self.found = Evaluation(found.value, needed_found.effort)
 
-    def modulus(self, effort, encode=None):
-        listed = []
-        self._extend(listed, effort, encode, {})
-        return listed
-
     def _extend(self, listed, effort, encode, spans):
         inner_settled, settle_outer, padded_at = self._context
         # The inner records of the outer list, looked up once; they are
@@ -488,19 +487,13 @@ class _ComposedSettled:
                     padded_at(effort), effort)(self._question).modulus(effort))
                 break
         for record in inner_records:
-            kind = type(record)
-            if kind is _FirstSettled:
-                record._extend(listed, effort, encode)
-            elif kind is _ComposedSettled:
-                span = spans.get(record)
-                if span is None:
-                    start = len(listed)
-                    record._extend(listed, effort, encode, spans)
-                    spans[record] = start, len(listed)
-                else:
-                    listed += listed[span[0]:span[1]]
+            span = spans.get(record)
+            if span is None:
+                start = len(listed)
+                record._extend(listed, effort, encode, spans)
+                spans[record] = start, len(listed)
             else:
-                listed += record.modulus(effort, encode)
+                listed += listed[span[0]:span[1]]
 
 
 def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
@@ -537,18 +530,20 @@ def compose_monotone(outer: MonotoneMachine, inner: MonotoneMachine,
     settled again, up to n on the padded answers at n.  Where no
     intermediate question ever answers, as on 0 for chains of inverses, a
     trace therefore makes the settle's raw calls and no more.  A stage
-    without a ``settle`` of its own is scanned along efforts 0..cap, its
-    modulus called at the effort asked.  The record's texts at n are the
+    without a ``settle`` of its own is scanned along efforts 0..cap into a
+    ``_Settled`` record, its modulus called at the effort asked, once per
+    ask however often the record appears.  The record's texts at n are the
     concatenation of the texts of the same inner records.  The record is a
     ``_ComposedSettled`` object built from its outer record, its question
     and the evaluation's context; it derives its first answer by the rule
     above from the outer record and the inner records when it is built,
     after the outer settle returns, keeps no list, and builds one per ask:
-    each inner record writes its list into that one list in place, and a
-    composite record met again within the ask, as the scale questions 2^-k
-    of an inversion chain meet the same records on many outer lists, is
-    copied from the span it wrote the first time, so a trace builds each
-    record once per attempt, however often it appears.
+    each inner record writes its list into that one list in place, and any
+    record met again within the ask, as the scale questions 2^-k of an
+    inversion chain meet the same records on many outer lists, is copied
+    from the span it wrote the first time, so a trace builds each record
+    once per attempt, however often it appears, whatever kind of machine
+    its stage is.
     """
     inner_machine, inner_modulus = _parts(inner, "compose_monotone")
     outer_machine, outer_modulus = _parts(outer, "compose_monotone")

@@ -169,15 +169,16 @@ def counting_machine(cm, calls):
                              cm.in_space, cm.out_space)
 
 
-def composite_chain(depth, calls=None):
+def composite_chain(depth, calls=None, scanned=False):
     """``depth`` use_first inversions, each composed over the one before with
     fallback 0, as the CLI's pipelines nest them; given ``calls``, every raw
-    stage counts into it as ``counting_machine`` does."""
+    stage counts into it as ``counting_machine`` does.  ``scanned`` makes
+    the innermost stage its ``scan_twin``, a stage without a settle."""
     def stage():
         cm = inversion_machine()
         return use_first(cm if calls is None else counting_machine(cm, calls))
 
-    chain = stage()
+    chain = scan_twin(stage()) if scanned else stage()
     for _ in range(depth - 1):
         chain = compose_monotone(stage(), chain, Fraction(0))
     return chain

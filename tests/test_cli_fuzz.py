@@ -220,7 +220,7 @@ def test_index_at_the_limit_still_runs(capsys):
     assert '"answer": true' in capsys.readouterr().out
 
 
-#: ~165 invert stages outgrow Python's stack, as each settles the one before.
+#: ~198 invert stages outgrow Python's stack, as each settles the one before.
 LONG_PIPELINE = "|".join(["invert"] * 1000)
 
 

@@ -617,6 +617,7 @@ def assert_traced_like_attempt_loop(machine_like, points, caps, schedule):
     (ContinuousMachine(only_at_three, lambda phi, n, q: [n, q]), (Fraction(0),)),
     (use_first(inversion_machine()), (Fraction(0), Fraction(7, 5))),
     (composite_chain(2), (Fraction(7, 5), Fraction(1, 10 ** 6))),
+    (composite_chain(3, scanned=True), (Fraction(7, 5), Fraction(1, 10 ** 6))),
 ])
 @pytest.mark.parametrize("schedule", ["linear", "powers_of_two"])
 def test_evaluate_traced_matches_attempt_loop(machine_like, points, schedule):
@@ -754,13 +755,17 @@ DEEP_NAMES = NEAR_NAMES + [exact_name(Fraction(-1, 131072))]
 
 
 def test_deep_composite_records_encode_their_lists():
-    # From depth 3 on, one list meets the same inner composite record more
-    # than once and copies the span it wrote the first time; on
-    # -1/131072 some of those records are re-settled lists.
+    # From depth 3 on, one list meets the same inner record more than once
+    # and copies the span it wrote the first time, a scanned innermost
+    # stage's record too; on -1/131072 some of those records are re-settled
+    # lists.
     assert_records_encode_their_lists(composite_chain(4), DEEP_NAMES, EPSILONS,
                                       (0, 5, 8))
     assert_records_encode_their_lists(composite_chain(5), DEEP_NAMES, EPSILONS,
                                       (0, 6))
+    for depth in (3, 4):
+        assert_records_encode_their_lists(composite_chain(depth, scanned=True),
+                                          DEEP_NAMES, EPSILONS, (0, 5, 8))
 
 
 def test_a_deep_composite_record_asked_again_lists_as_the_machine():

@@ -41,6 +41,28 @@ def test_convergent_composite_trace_raw_calls(schedule, cap, depth, expected):
     assert calls == expected
 
 
+@pytest.mark.parametrize("schedule, cap, depth, expected", [
+    ("powers_of_two", 32, 3, [5565, 982]),
+    ("powers_of_two", 32, 4, [10297, 1787]),
+    ("linear", 16, 3, [4539, 2091]),
+])
+def test_scanned_innermost_composite_trace_raw_calls(schedule, cap, depth,
+                                                     expected):
+    # The innermost stage has no settle, so its records are scans whose
+    # lists call the stage's per-effort modulus.  Such a record is written
+    # once per attempt and copied by span where its list repeats, as a
+    # settled stage's is; written at every occurrence instead, the counts
+    # are [11427, 7216], [16180, 8042] and [24531, 23715].  The trace is the
+    # settled chain's.
+    calls = [0, 0]
+    result, trace = evaluate_traced(composite_chain(depth, calls, scanned=True),
+                                    exact_name(MILLIONTH), MILLIONTH, cap,
+                                    schedule)
+    assert calls == expected
+    assert (result, trace) == evaluate_traced(
+        composite_chain(depth), exact_name(MILLIONTH), MILLIONTH, cap, schedule)
+
+
 DIALOGUE_ROWS = [
     (2, Fraction(0), 16, None, [6786, 3112], [306, 0]),
     (2, Fraction(0), 32, None, [54530, 23376], [1122, 0]),
